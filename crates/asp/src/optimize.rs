@@ -36,7 +36,8 @@ use std::sync::Arc;
 
 use crate::ground::GroundProgram;
 use crate::sat::{
-    ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState, Solver, Var,
+    ClauseArena, ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState,
+    Solver, Var,
 };
 use crate::stable::StabilityChecker;
 use crate::translate::Translation;
@@ -229,9 +230,14 @@ pub fn solve_optimal_assuming(
     let deterministic_trajectory = cache.is_empty() && config.portfolio.max(1) == 1;
     let mut winner_seed;
     // Loop nogoods discovered by the stability check are shared across solver runs.
-    let mut extra_clauses: Vec<Vec<Lit>> = Vec::new();
-    // One occurrence index serves every stability check of this solve.
-    let mut checker = StabilityChecker::new(ground);
+    let mut extra_clauses = ClauseArena::new();
+    // One occurrence index serves every stability check of this solve: the descent,
+    // the canonical extraction and the canonical core re-proof.
+    let mut stability = Stability {
+        ground,
+        checker: StabilityChecker::new(ground),
+        debug: std::env::var("ASP_DEBUG").is_ok(),
+    };
 
     // Initial model with no objective bounds. The pool stays live across levels: it
     // is only discarded when a level's final (UNSAT) bound poisons it, and only
@@ -253,8 +259,7 @@ pub fn solve_optimal_assuming(
         let pool = live.as_mut().expect("just built");
         match run_stable(
             pool,
-            ground,
-            &mut checker,
+            &mut stability,
             &mut extra_clauses,
             assumptions,
             &mut stats,
@@ -291,7 +296,7 @@ pub fn solve_optimal_assuming(
                     // An expired budget interrupts the re-proof; the live pool's core
                     // (sound, merely trajectory-dependent) is the graceful fallback.
                     canonical_core(
-                        ground,
+                        &mut stability,
                         translation,
                         config,
                         &levels,
@@ -313,7 +318,6 @@ pub fn solve_optimal_assuming(
     // Optimize level by level, highest priority first. `live_bounds[li]` is the index
     // of level `li`'s objective bound inside the live solver (if added), so repeated
     // descents tighten one constraint in place instead of stacking superseded copies.
-    let debug = std::env::var("ASP_DEBUG").is_ok();
     let mut fixed_bounds: Vec<LinearSpec> = Vec::new();
     let mut live_bounds: Vec<Option<usize>> = vec![None; levels.len()];
     for (li, level) in levels.iter().enumerate() {
@@ -330,7 +334,7 @@ pub fn solve_optimal_assuming(
         let mut proven_above: i64 = -1;
         loop {
             let current = best_costs[li];
-            if debug {
+            if stability.debug {
                 eprintln!(
                     "[asp] level prio {} ({} lits): current cost {}",
                     level.priority,
@@ -400,8 +404,7 @@ pub fn solve_optimal_assuming(
             }
             match run_stable(
                 pool,
-                ground,
-                &mut checker,
+                &mut stability,
                 &mut extra_clauses,
                 assumptions,
                 &mut stats,
@@ -486,7 +489,7 @@ pub fn solve_optimal_assuming(
     // cost (no level can beat its own proven optimum given equality above it), so the
     // extraction cannot fail; the incumbent stays as a debug-checked safety net.
     match extract_canonical(
-        ground,
+        &mut stability,
         translation,
         config,
         &levels,
@@ -555,7 +558,8 @@ fn deterministic_pool(
     let mut serial = config.clone();
     serial.portfolio = 1;
     let empty = ClauseCache::default();
-    let mut pool = build_pool(translation, &serial, fixed, bounds, &[], &empty, budget);
+    let mut pool =
+        build_pool(translation, &serial, fixed, bounds, &ClauseArena::new(), &empty, budget);
     for level in levels {
         for &(l, _) in &level.lits {
             pool.set_phase(l.var(), !l.is_pos());
@@ -573,7 +577,7 @@ fn deterministic_pool(
 /// still report zero loop nogoods).
 #[allow(clippy::too_many_arguments)]
 fn extract_canonical(
-    ground: &GroundProgram,
+    stability: &mut Stability,
     translation: &Translation,
     config: &SatConfig,
     levels: &[Level],
@@ -585,14 +589,11 @@ fn extract_canonical(
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> StableOutcome {
     let mut pool = deterministic_pool(translation, config, levels, fixed, bounds, budget);
-    let mut checker = StabilityChecker::new(ground);
-    let mut extras: Vec<Vec<Lit>> = Vec::new();
     let mut local = RunStats::default();
     let outcome = run_stable(
         &mut pool,
-        ground,
-        &mut checker,
-        &mut extras,
+        stability,
+        &mut ClauseArena::new(),
         assumptions,
         &mut local,
         cache,
@@ -611,7 +612,7 @@ fn extract_canonical(
 /// caller falls back to a sound (but trajectory-dependent) core.
 #[allow(clippy::too_many_arguments)]
 fn canonical_core(
-    ground: &GroundProgram,
+    stability: &mut Stability,
     translation: &Translation,
     config: &SatConfig,
     levels: &[Level],
@@ -622,14 +623,11 @@ fn canonical_core(
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Option<Vec<Lit>> {
     let mut pool = deterministic_pool(translation, config, levels, fixed, &[], budget);
-    let mut checker = StabilityChecker::new(ground);
-    let mut extras: Vec<Vec<Lit>> = Vec::new();
     let mut local = RunStats::default();
     let outcome = run_stable(
         &mut pool,
-        ground,
-        &mut checker,
-        &mut extras,
+        stability,
+        &mut ClauseArena::new(),
         assumptions,
         &mut local,
         cache,
@@ -685,7 +683,8 @@ impl StableProbe {
         fixed: &[Lit],
         cache: &ClauseCache,
     ) -> Self {
-        Self::from_solver(ground, build_solver(translation, config, fixed, &[], &[], cache))
+        let solver = build_solver(translation, config, fixed, &[], &ClauseArena::new(), cache);
+        Self::from_solver(ground, solver)
     }
 
     /// Adopt an existing solver as the probe — typically the retired solver of a
@@ -786,7 +785,7 @@ pub fn enumerate_models_with_stats(
         return (models, SatStats::default(), examined);
     }
     let empty_cache = ClauseCache::default();
-    let mut solver = build_solver(translation, config, &[], &[], &[], &empty_cache);
+    let mut solver = build_solver(translation, config, &[], &[], &ClauseArena::new(), &empty_cache);
     let mut checker = StabilityChecker::new(ground);
     loop {
         if models.len() >= limit {
@@ -942,7 +941,7 @@ fn build_solver(
     config: &SatConfig,
     fixed: &[Lit],
     bounds: &[LinearSpec],
-    extra_clauses: &[Vec<Lit>],
+    extra_clauses: &ClauseArena,
     cache: &ClauseCache,
 ) -> Solver {
     let mut solver = Solver::new(translation.num_vars, config.clone());
@@ -952,7 +951,7 @@ fn build_solver(
     // `translate`) and the session cache (canonicalized on insert) both honour the
     // trusted contract, so every rebuild ingests them on the validation-free bulk
     // path instead of re-sorting and re-checking each clause.
-    solver.load_trusted_clauses(translation.clauses.iter().map(Vec::as_slice), true);
+    solver.load_trusted_clauses(translation.clauses.iter(), true);
     // Per-solve truths of `#external` guard atoms, as root-level units.
     for &l in fixed {
         if !solver.add_clause(&[l]) {
@@ -965,8 +964,8 @@ fn build_solver(
     // Session cache: loop nogoods and safe learned clauses from earlier solves on
     // this grounding (possibly transferred in from sibling requests with the same
     // closure digest).
-    solver.load_trusted_clauses(cache.clauses().iter().map(Vec::as_slice), true);
-    for clause in extra_clauses {
+    solver.load_trusted_clauses(cache.clauses().iter(), true);
+    for clause in extra_clauses.iter() {
         if !solver.add_clause_safe(clause) {
             break;
         }
@@ -1166,7 +1165,7 @@ fn build_pool(
     config: &SatConfig,
     fixed: &[Lit],
     bounds: &[LinearSpec],
-    extra_clauses: &[Vec<Lit>],
+    extra_clauses: &ClauseArena,
     cache: &ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Pool {
@@ -1189,6 +1188,15 @@ fn build_pool(
     Pool { workers, seeds, stop, winner_seed: config.seed }
 }
 
+/// What every stable-model run of one solve shares: the ground program, its
+/// stability checker (an occurrence index plus per-call scratch, built once per
+/// solve), and whether `ASP_DEBUG` progress tracing is on.
+struct Stability<'a> {
+    ground: &'a GroundProgram,
+    checker: StabilityChecker,
+    debug: bool,
+}
+
 /// Outcome of driving a pool to the next stable model ([`run_stable`]).
 enum StableOutcome {
     /// The next stable model under the pool's current bounds.
@@ -1205,19 +1213,16 @@ enum StableOutcome {
 /// workers keep all state between calls; aggregate statistics are absorbed by the
 /// caller when the pool is retired. `need_core` marks the searches whose UNSAT
 /// outcome feeds final-conflict core extraction (see [`Pool::race`]).
-#[allow(clippy::too_many_arguments)]
 fn run_stable(
     pool: &mut Pool,
-    ground: &GroundProgram,
-    checker: &mut StabilityChecker,
-    extra_clauses: &mut Vec<Vec<Lit>>,
+    stability: &mut Stability,
+    extra_clauses: &mut ClauseArena,
     assumptions: &[Lit],
     stats: &mut RunStats,
     cache: &mut ClauseCache,
     need_core: bool,
 ) -> StableOutcome {
     stats.runs += 1;
-    let debug = std::env::var("ASP_DEBUG").is_ok();
     loop {
         match pool.race(assumptions, need_core) {
             RaceVerdict::Unsat => return StableOutcome::Unsat,
@@ -1228,18 +1233,19 @@ fn run_stable(
                 // the set's external supports must come true. It is a consequence of
                 // the program (not of the bounds), so it persists and is replayed
                 // into every future solver.
-                let Some(nogood) = checker.unfounded_nogood(ground, &model) else {
+                let Some(nogood) = stability.checker.unfounded_nogood(stability.ground, &model)
+                else {
                     return StableOutcome::Model(model);
                 };
                 stats.loop_nogoods += 1;
-                if debug && stats.loop_nogoods.is_multiple_of(50) {
+                if stability.debug && stats.loop_nogoods.is_multiple_of(50) {
                     eprintln!(
                         "[asp] {} loop nogoods so far (clause size {})",
                         stats.loop_nogoods,
                         nogood.len()
                     );
                 }
-                extra_clauses.push(nogood.clone());
+                extra_clauses.push(&nogood);
                 cache.add(&nogood);
                 if !pool.add_clause_safe(&nogood) {
                     return StableOutcome::Unsat;

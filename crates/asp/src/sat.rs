@@ -101,6 +101,161 @@ impl fmt::Display for Lit {
     }
 }
 
+/// A flat clause store: every clause's literals live back to back in one `Vec<Lit>`,
+/// and clause `i` is `lits[offsets[i]..offsets[i + 1]]`.
+///
+/// Building, cloning and dropping a store of `n` clauses costs a few large
+/// allocations instead of `n` small ones, which is what makes per-level solver
+/// rebuilds, cross-request clause transfers and solver teardown cheap. Clauses are
+/// addressed by their insertion index and read as `&[Lit]` / `&mut [Lit]`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ClauseArena {
+    lits: Vec<Lit>,
+    /// `offsets[i]` is where clause `i` starts; the last entry is where the next
+    /// clause will start. Never empty.
+    offsets: Vec<u32>,
+}
+
+impl Default for ClauseArena {
+    fn default() -> Self {
+        ClauseArena::new()
+    }
+}
+
+impl fmt::Debug for ClauseArena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl ClauseArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        ClauseArena { lits: Vec::new(), offsets: vec![0] }
+    }
+
+    /// Number of clauses.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the arena holds no clause.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total number of literals over all clauses.
+    pub fn num_lits(&self) -> usize {
+        self.lits.len()
+    }
+
+    /// Append a clause as given; returns its index.
+    pub(crate) fn push(&mut self, clause: &[Lit]) -> usize {
+        self.lits.extend_from_slice(clause);
+        self.seal()
+    }
+
+    /// Append a clause in canonical form — literals sorted and deduplicated — and
+    /// return its index, or store nothing and return `None` when the clause is a
+    /// tautology (it holds a literal and its negation). Canonical clauses qualify for
+    /// [`Solver::load_trusted_clauses`].
+    pub(crate) fn push_canonical(&mut self, lits: impl IntoIterator<Item = Lit>) -> Option<usize> {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        let tail = &mut self.lits[start..];
+        tail.sort_unstable();
+        // In-place dedup of the sorted tail.
+        let mut kept = 0;
+        for i in 0..tail.len() {
+            if i == 0 || tail[i] != tail[kept - 1] {
+                tail[kept] = tail[i];
+                kept += 1;
+            }
+        }
+        // The two literals of a variable sort adjacently.
+        if tail[..kept].windows(2).any(|w| w[0] == w[1].negate()) {
+            self.lits.truncate(start);
+            return None;
+        }
+        self.lits.truncate(start + kept);
+        Some(self.seal())
+    }
+
+    /// Append one literal to the open clause: the literals pushed since the last
+    /// clause was sealed, invisible to indexing and iteration until [`Self::seal`].
+    fn push_open(&mut self, lit: Lit) {
+        self.lits.push(lit);
+    }
+
+    /// The open clause.
+    fn open(&self) -> &[Lit] {
+        &self.lits[*self.offsets.last().expect("never empty") as usize..]
+    }
+
+    /// Drop the open clause.
+    fn discard_open(&mut self) {
+        self.lits.truncate(*self.offsets.last().expect("never empty") as usize);
+    }
+
+    /// Close the open clause as a new clause; returns its index.
+    fn seal(&mut self) -> usize {
+        let end = u32::try_from(self.lits.len()).expect("a clause arena holds < 2^32 literals");
+        self.offsets.push(end);
+        self.len() - 1
+    }
+
+    /// Keep only the first `len` clauses.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.offsets.truncate(len + 1);
+            self.lits.truncate(self.offsets[len] as usize);
+        }
+    }
+
+    /// Iterate over the clauses in insertion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        self.offsets.windows(2).map(|w| &self.lits[w[0] as usize..w[1] as usize])
+    }
+
+    /// Keep exactly the clauses for which `keep(index, clause)` holds, compacting the
+    /// literals in place; kept clauses keep their relative order, so the `k`-th kept
+    /// clause gets index `k`.
+    pub(crate) fn retain_indexed(&mut self, mut keep: impl FnMut(usize, &[Lit]) -> bool) {
+        let n = self.len();
+        let mut written = 0;
+        let mut write_lit = 0;
+        let mut start = 0;
+        for i in 0..n {
+            // `offsets[i + 1]` is read before any write can reach it: writes go to
+            // `offsets[written + 1]` with `written <= i`.
+            let end = self.offsets[i + 1] as usize;
+            if keep(i, &self.lits[start..end]) {
+                self.lits.copy_within(start..end, write_lit);
+                write_lit += end - start;
+                written += 1;
+                self.offsets[written] = write_lit as u32;
+            }
+            start = end;
+        }
+        self.offsets.truncate(written + 1);
+        self.lits.truncate(write_lit);
+    }
+}
+
+impl std::ops::Index<usize> for ClauseArena {
+    type Output = [Lit];
+
+    fn index(&self, i: usize) -> &[Lit] {
+        &self.lits[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+impl std::ops::IndexMut<usize> for ClauseArena {
+    fn index_mut(&mut self, i: usize) -> &mut [Lit] {
+        &mut self.lits[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// Truth value of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Value {
@@ -343,7 +498,7 @@ impl SatStats {
 /// The CDCL solver.
 pub struct Solver {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseArena,
     /// Parallel to `clauses`: learned (deletable) flag.
     clause_learned: Vec<bool>,
     /// Parallel to `clauses`: provenance-safe flag (see the module docs). For learned
@@ -370,7 +525,9 @@ pub struct Solver {
     assignment: Vec<Value>,
     level: Vec<u32>,
     reason: Vec<Reason>,
-    stored_reasons: Vec<Vec<Lit>>,
+    /// Explicit reasons of literals propagated by linear constraints, in enqueue
+    /// order (truncated on backtrack).
+    stored_reasons: ClauseArena,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     /// Parallel to `trail_lim`: `stored_reasons.len()` when each level was opened, so
@@ -414,7 +571,7 @@ impl Solver {
         let max_learned = config.learned_limit.max(16);
         Solver {
             num_vars,
-            clauses: Vec::new(),
+            clauses: ClauseArena::new(),
             clause_learned: Vec::new(),
             clause_safe: Vec::new(),
             stored_safe: Vec::new(),
@@ -429,7 +586,7 @@ impl Solver {
             assignment: vec![Value::Unassigned; num_vars],
             level: vec![0; num_vars],
             reason: vec![Reason::Decision; num_vars],
-            stored_reasons: Vec::new(),
+            stored_reasons: ClauseArena::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             stored_lim: Vec::new(),
@@ -475,23 +632,7 @@ impl Solver {
     }
 
     fn value_lit(&self, lit: Lit) -> Value {
-        match self.assignment[lit.var() as usize] {
-            Value::Unassigned => Value::Unassigned,
-            Value::True => {
-                if lit.is_pos() {
-                    Value::True
-                } else {
-                    Value::False
-                }
-            }
-            Value::False => {
-                if lit.is_pos() {
-                    Value::False
-                } else {
-                    Value::True
-                }
-            }
-        }
+        lit_value(&self.assignment, lit)
     }
 
     /// Is the literal currently true?
@@ -554,10 +695,9 @@ impl Solver {
                 }
             }
             _ => {
-                let ci = self.clauses.len() as u32;
+                let ci = self.clauses.push(&filtered) as u32;
                 self.watches[filtered[0].negate().index()].push(Watch { ci, blocker: filtered[1] });
                 self.watches[filtered[1].negate().index()].push(Watch { ci, blocker: filtered[0] });
-                self.clauses.push(filtered);
                 self.clause_learned.push(false);
                 self.clause_safe.push(safe);
                 self.clause_activity.push(0.0);
@@ -587,13 +727,12 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut filtered: Vec<Lit> = Vec::new();
         for lits in clauses {
             debug_assert!(
                 self.is_trusted_canonical(lits),
                 "load_trusted_clauses: clause violates the canonical-form contract: {lits:?}"
             );
-            filtered.clear();
+            // The unassigned literals go straight into the arena's open clause.
             let mut clause_safe = safe;
             let mut satisfied = false;
             for &l in lits {
@@ -605,32 +744,31 @@ impl Solver {
                     Value::False => {
                         clause_safe = clause_safe && self.var0_safe[l.var() as usize];
                     }
-                    Value::Unassigned => filtered.push(l),
+                    Value::Unassigned => self.clauses.push_open(l),
                 }
             }
             if satisfied {
+                self.clauses.discard_open();
                 continue;
             }
-            match filtered.len() {
-                0 => {
+            match *self.clauses.open() {
+                [] => {
                     self.root_conflict = true;
                     return false;
                 }
-                1 => {
-                    self.enqueue(filtered[0], Reason::Decision);
-                    self.var0_safe[filtered[0].var() as usize] = clause_safe;
+                [unit] => {
+                    self.clauses.discard_open();
+                    self.enqueue(unit, Reason::Decision);
+                    self.var0_safe[unit.var() as usize] = clause_safe;
                     if self.propagate().is_some() {
                         self.root_conflict = true;
                         return false;
                     }
                 }
-                _ => {
-                    let ci = self.clauses.len() as u32;
-                    self.watches[filtered[0].negate().index()]
-                        .push(Watch { ci, blocker: filtered[1] });
-                    self.watches[filtered[1].negate().index()]
-                        .push(Watch { ci, blocker: filtered[0] });
-                    self.clauses.push(std::mem::take(&mut filtered));
+                [w0, w1, ..] => {
+                    let ci = self.clauses.seal() as u32;
+                    self.watches[w0.negate().index()].push(Watch { ci, blocker: w1 });
+                    self.watches[w1.negate().index()].push(Watch { ci, blocker: w0 });
                     self.clause_learned.push(false);
                     self.clause_safe.push(clause_safe);
                     self.clause_activity.push(0.0);
@@ -865,16 +1003,14 @@ impl Solver {
                 // Only assumptions are decisions below the assumption prefix.
                 Reason::Decision => core.push(x),
                 Reason::Clause(ci) => {
-                    for k in 0..self.clauses[ci].len() {
-                        let l = self.clauses[ci][k];
+                    for &l in &self.clauses[ci] {
                         if l.var() as usize != v && self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
                     }
                 }
                 Reason::Stored(ri) => {
-                    for k in 0..self.stored_reasons[ri].len() {
-                        let l = self.stored_reasons[ri][k];
+                    for &l in &self.stored_reasons[ri] {
                         if l.var() as usize != v && self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
@@ -906,7 +1042,7 @@ impl Solver {
         let units = self.safe_units.iter().map(std::slice::from_ref);
         let clauses = (0..self.clauses.len())
             .filter(|&ci| self.clause_learned[ci] && self.clause_safe[ci])
-            .map(|ci| self.clauses[ci].as_slice());
+            .map(|ci| &self.clauses[ci]);
         units.chain(clauses)
     }
 
@@ -1036,33 +1172,30 @@ impl Solver {
             let ci = self.watches[watch_idx][i].ci as usize;
             // The falsified literal is lit.negate(); make sure it is at position 1.
             let false_lit = lit.negate();
-            {
-                let clause = &mut self.clauses[ci];
-                if clause[0] == false_lit {
-                    clause.swap(0, 1);
-                }
+            let clause = &mut self.clauses[ci];
+            if clause[0] == false_lit {
+                clause.swap(0, 1);
             }
             // If the first watch is true, the clause is satisfied: remember it as the
             // blocker for the next visit.
-            let first = self.clauses[ci][0];
-            if self.value_lit(first) == Value::True {
+            let first = clause[0];
+            if lit_value(&self.assignment, first) == Value::True {
                 self.watches[watch_idx][i].blocker = first;
                 i += 1;
                 continue;
             }
             // Look for a new literal to watch.
-            let mut found = false;
-            for k in 2..self.clauses[ci].len() {
-                if self.value_lit(self.clauses[ci][k]) != Value::False {
-                    self.clauses[ci].swap(1, k);
-                    let new_watch = self.clauses[ci][1].negate().index();
-                    self.watches[new_watch].push(Watch { ci: ci as u32, blocker: first });
-                    self.watches[watch_idx].swap_remove(i);
-                    found = true;
+            let mut new_watch = None;
+            for k in 2..clause.len() {
+                if lit_value(&self.assignment, clause[k]) != Value::False {
+                    clause.swap(1, k);
+                    new_watch = Some(clause[1]);
                     break;
                 }
             }
-            if found {
+            if let Some(w) = new_watch {
+                self.watches[w.negate().index()].push(Watch { ci: ci as u32, blocker: first });
+                self.watches[watch_idx].swap_remove(i);
                 continue;
             }
             // Clause is unit or conflicting.
@@ -1101,11 +1234,7 @@ impl Solver {
                 Some(Value::Unassigned) => {
                     // Force the guard false.
                     let c = condition.unwrap();
-                    let mut clause = self.linear_violation_lits(idx, upper_violated);
-                    clause.push(c.negate());
-                    let rid = self.stored_reasons.len();
-                    self.stored_reasons.push(clause);
-                    self.stored_safe.push(lin_safe);
+                    let rid = self.store_linear_reason(idx, upper_violated, [c.negate()]);
                     self.enqueue(c.negate(), Reason::Stored(rid));
                     return None;
                 }
@@ -1157,27 +1286,16 @@ impl Solver {
                 continue;
             }
             if sum_true + weight > upper {
-                let mut reason = self.linear_true_lits(idx);
-                if let Some(c) = condition {
-                    reason.push(c.negate());
-                }
-                reason.push(lit.negate());
-                let rid = self.stored_reasons.len();
-                self.stored_reasons.push(reason);
-                self.stored_safe.push(lin_safe);
+                let guard = condition.map(Lit::negate);
+                let rid =
+                    self.store_linear_reason(idx, true, guard.into_iter().chain([lit.negate()]));
                 self.enqueue(lit.negate(), Reason::Stored(rid));
                 if let Some(confl) = self.propagate_linear(idx) {
                     return Some(confl);
                 }
             } else if total - sum_false - weight < lower {
-                let mut reason = self.linear_false_lits(idx);
-                if let Some(c) = condition {
-                    reason.push(c.negate());
-                }
-                reason.push(lit);
-                let rid = self.stored_reasons.len();
-                self.stored_reasons.push(reason);
-                self.stored_safe.push(lin_safe);
+                let guard = condition.map(Lit::negate);
+                let rid = self.store_linear_reason(idx, false, guard.into_iter().chain([lit]));
                 self.enqueue(lit, Reason::Stored(rid));
                 if let Some(confl) = self.propagate_linear(idx) {
                     return Some(confl);
@@ -1202,22 +1320,29 @@ impl Solver {
         }
     }
 
-    fn linear_true_lits(&self, idx: usize) -> Vec<Lit> {
-        self.linears[idx]
-            .lits
-            .iter()
-            .filter(|&&l| self.value_lit(l) == Value::True)
-            .map(|&l| l.negate())
-            .collect()
-    }
-
-    fn linear_false_lits(&self, idx: usize) -> Vec<Lit> {
-        self.linears[idx]
-            .lits
-            .iter()
-            .filter(|&&l| self.value_lit(l) == Value::False)
-            .copied()
-            .collect()
+    /// Store the explicit reason of a literal propagated by linear constraint `idx`:
+    /// the literals of [`Solver::linear_violation_lits`] followed by `tail` (the
+    /// negated guard and/or the implied literal). Returns its [`Reason::Stored`]
+    /// index.
+    fn store_linear_reason(
+        &mut self,
+        idx: usize,
+        upper: bool,
+        tail: impl IntoIterator<Item = Lit>,
+    ) -> usize {
+        let lin = &self.linears[idx];
+        for &l in &lin.lits {
+            match (upper, lit_value(&self.assignment, l)) {
+                (true, Value::True) => self.stored_reasons.push_open(l.negate()),
+                (false, Value::False) => self.stored_reasons.push_open(l),
+                _ => {}
+            }
+        }
+        for l in tail {
+            self.stored_reasons.push_open(l);
+        }
+        self.stored_safe.push(lin.safe);
+        self.stored_reasons.seal()
     }
 
     // ---- internal: conflict analysis ---------------------------------------------------
@@ -1294,21 +1419,12 @@ impl Solver {
                 Reason::Clause(ci) => {
                     self.bump_clause(ci);
                     safe = safe && self.clause_safe[ci];
-                    for k in 0..self.clauses[ci].len() {
-                        let l = self.clauses[ci][k];
-                        if l.var() != var {
-                            expand.push(l);
-                        }
-                    }
+                    expand.extend(self.clauses[ci].iter().copied().filter(|l| l.var() != var));
                 }
                 Reason::Stored(ri) => {
                     safe = safe && self.stored_safe[ri];
-                    for k in 0..self.stored_reasons[ri].len() {
-                        let l = self.stored_reasons[ri][k];
-                        if l.var() != var {
-                            expand.push(l);
-                        }
-                    }
+                    expand
+                        .extend(self.stored_reasons[ri].iter().copied().filter(|l| l.var() != var));
                 }
             }
         }
@@ -1361,7 +1477,7 @@ impl Solver {
         self.watches[clause[0].negate().index()].push(Watch { ci: idx as u32, blocker: clause[1] });
         self.watches[clause[1].negate().index()].push(Watch { ci: idx as u32, blocker: clause[0] });
         let asserting = clause[0];
-        self.clauses.push(clause);
+        self.clauses.push(&clause);
         self.clause_learned.push(true);
         self.clause_safe.push(safe);
         self.clause_activity.push(self.clause_inc);
@@ -1394,31 +1510,24 @@ impl Solver {
         acts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let threshold = acts[acts.len() / 2];
 
+        // Compact the arena and its parallel vectors in place; `remap` maps every
+        // kept clause to its new index.
         let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut kept: Vec<Vec<Lit>> = Vec::with_capacity(self.clauses.len());
-        let mut kept_learned = Vec::with_capacity(self.clauses.len());
-        let mut kept_safe = Vec::with_capacity(self.clauses.len());
-        let mut kept_activity = Vec::with_capacity(self.clauses.len());
-        let mut removed = 0u64;
-        for ci in 0..self.clauses.len() {
-            let deletable = self.clause_learned[ci]
-                && !locked[ci]
-                && self.clauses[ci].len() > 2
-                && self.clause_activity[ci] <= threshold;
-            if deletable {
-                removed += 1;
-                continue;
+        let mut kept = 0;
+        let (learned, activity) = (&self.clause_learned, &self.clause_activity);
+        self.clauses.retain_indexed(|ci, lits| {
+            let deletable =
+                learned[ci] && !locked[ci] && lits.len() > 2 && activity[ci] <= threshold;
+            if !deletable {
+                remap[ci] = kept;
+                kept += 1;
             }
-            remap[ci] = kept.len();
-            kept.push(std::mem::take(&mut self.clauses[ci]));
-            kept_learned.push(self.clause_learned[ci]);
-            kept_safe.push(self.clause_safe[ci]);
-            kept_activity.push(self.clause_activity[ci]);
-        }
-        self.clauses = kept;
-        self.clause_learned = kept_learned;
-        self.clause_safe = kept_safe;
-        self.clause_activity = kept_activity;
+            !deletable
+        });
+        let removed = (remap.len() - kept) as u64;
+        retain_remapped(&mut self.clause_learned, &remap);
+        retain_remapped(&mut self.clause_safe, &remap);
+        retain_remapped(&mut self.clause_activity, &remap);
         self.stats.deleted += removed;
         // Grow the cap geometrically so reduction stays amortised.
         self.max_learned += self.max_learned / 2;
@@ -1439,8 +1548,7 @@ impl Solver {
             w.clear();
         }
         for ci in 0..self.clauses.len() {
-            let c = &self.clauses[ci];
-            let (w0, w1) = (c[0], c[1]);
+            let (w0, w1) = (self.clauses[ci][0], self.clauses[ci][1]);
             self.watches[w0.negate().index()].push(Watch { ci: ci as u32, blocker: w1 });
             self.watches[w1.negate().index()].push(Watch { ci: ci as u32, blocker: w0 });
         }
@@ -1503,6 +1611,25 @@ impl Solver {
     }
 }
 
+/// The value of `lit` under `assignment` (indexed by variable).
+fn lit_value(assignment: &[Value], lit: Lit) -> Value {
+    match (assignment[lit.var() as usize], lit.is_pos()) {
+        (Value::Unassigned, _) => Value::Unassigned,
+        (Value::True, true) | (Value::False, false) => Value::True,
+        (Value::True, false) | (Value::False, true) => Value::False,
+    }
+}
+
+/// Keep the entries of a clause-parallel vector whose clause survived a compaction
+/// (`remap[i] != usize::MAX`), in order.
+fn retain_remapped<T>(values: &mut Vec<T>, remap: &[usize]) {
+    let mut i = 0;
+    values.retain(|_| {
+        i += 1;
+        remap[i - 1] != usize::MAX
+    });
+}
+
 /// A session-scoped cache of clauses that are *consequences of one ground program* —
 /// loop nogoods from the stability check and provenance-safe learned clauses — shared
 /// by every solve on that grounding. Each newly built solver replays the cache, so the
@@ -1511,7 +1638,7 @@ impl Solver {
 /// of re-deriving it. Invalidated (by the owner) whenever the grounding changes.
 #[derive(Debug, Default)]
 pub struct ClauseCache {
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseArena,
     seen: FxHashSet<u64>,
 }
 
@@ -1525,19 +1652,17 @@ impl ClauseCache {
         if clause.is_empty() || self.clauses.len() >= Self::MAX_CLAUSES {
             return;
         }
-        let mut sorted = clause.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        // Drop tautologies so every cached clause satisfies the trusted canonical form
-        // required by `Solver::load_trusted_clauses` (replay skips re-validation).
-        if sorted.windows(2).any(|w| w[0] == w[1].negate()) {
+        // Store in canonical form, dropping tautologies, so every cached clause
+        // satisfies the trusted contract of `Solver::load_trusted_clauses` (replay
+        // skips re-validation); then undo the push if the clause is a duplicate.
+        let Some(ci) = self.clauses.push_canonical(clause.iter().copied()) else {
             return;
-        }
+        };
         use std::hash::{Hash, Hasher};
         let mut hasher = crate::hasher::FxHasher::default();
-        sorted.hash(&mut hasher);
-        if self.seen.insert(hasher.finish()) {
-            self.clauses.push(sorted);
+        self.clauses[ci].hash(&mut hasher);
+        if !self.seen.insert(hasher.finish()) {
+            self.clauses.truncate(ci);
         }
     }
 
@@ -1553,7 +1678,7 @@ impl ClauseCache {
     }
 
     /// The cached clauses, for replay into a new solver (all provenance-safe).
-    pub fn clauses(&self) -> &[Vec<Lit>] {
+    pub fn clauses(&self) -> &ClauseArena {
         &self.clauses
     }
 
@@ -1609,7 +1734,7 @@ impl SharedClauseStore {
                     cache.clauses = shelf.clauses.clone();
                     cache.seen = shelf.seen.clone();
                 } else {
-                    for clause in shelf.clauses() {
+                    for clause in shelf.clauses().iter() {
                         cache.add(clause);
                     }
                 }
@@ -1633,7 +1758,7 @@ impl SharedClauseStore {
         }
         let mut shelves = self.shelves.write().unwrap();
         let shelf = shelves.entry(key).or_default();
-        for clause in cache.clauses() {
+        for clause in cache.clauses().iter() {
             shelf.add(clause);
         }
     }
@@ -1661,7 +1786,7 @@ impl SharedClauseStore {
     #[doc(hidden)]
     pub fn inject_raw_for_tests(&self, key: u64, clause: Vec<Lit>) {
         let mut shelves = self.shelves.write().unwrap();
-        shelves.entry(key).or_default().clauses.push(clause);
+        shelves.entry(key).or_default().clauses.push(&clause);
     }
 }
 
@@ -2263,7 +2388,153 @@ mod tests {
         let mut warm = ClauseCache::default();
         store.fetch_into(1, &mut warm);
         let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses(warm.clauses().iter().map(|c| c.as_slice()), true);
+        s.load_trusted_clauses(warm.clauses().iter(), true);
+    }
+
+    #[test]
+    fn arena_push_index_iter() {
+        let mut arena = ClauseArena::new();
+        assert!(arena.is_empty());
+        assert_eq!(arena.push(&[lit(1), lit(-2)]), 0);
+        assert_eq!(arena.push(&[]), 1);
+        assert_eq!(arena.push(&[lit(3), lit(2), lit(-1)]), 2);
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.num_lits(), 5);
+        assert_eq!(&arena[0], &[lit(1), lit(-2)]);
+        assert!(arena[1].is_empty());
+        assert_eq!(&arena[2], &[lit(3), lit(2), lit(-1)]);
+        // Clauses are mutable in place (the watch swaps of propagation).
+        arena[2].swap(0, 2);
+        assert_eq!(&arena[2], &[lit(-1), lit(2), lit(3)]);
+        let all: Vec<&[Lit]> = arena.iter().collect();
+        assert_eq!(all, vec![&[lit(1), lit(-2)][..], &[][..], &[lit(-1), lit(2), lit(3)][..]]);
+        assert_eq!(arena.iter().len(), 3);
+        arena.truncate(2);
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.num_lits(), 2);
+        arena.truncate(0);
+        assert!(arena.is_empty() && arena.num_lits() == 0);
+        assert_eq!(arena, ClauseArena::default());
+    }
+
+    #[test]
+    fn arena_canonical_push_sorts_dedups_and_drops_tautologies() {
+        let mut arena = ClauseArena::new();
+        assert_eq!(arena.push_canonical([lit(3), lit(1), lit(3), lit(-2), lit(1)]), Some(0));
+        assert_eq!(&arena[0], &[lit(1), lit(-2), lit(3)]);
+        assert_eq!(arena.push_canonical([lit(2), lit(4), lit(-2)]), None);
+        assert_eq!(arena.len(), 1, "a tautology leaves nothing behind");
+        assert_eq!(arena.num_lits(), 3);
+        assert_eq!(arena.push_canonical([lit(-4)]), Some(1));
+        assert_eq!(&arena[1], &[lit(-4)]);
+    }
+
+    #[test]
+    fn arena_clone_is_equal_and_independent() {
+        let mut arena = ClauseArena::new();
+        arena.push(&[lit(1), lit(2)]);
+        arena.push(&[lit(-1), lit(3), lit(4)]);
+        let mut copy = arena.clone();
+        assert_eq!(copy, arena);
+        assert_eq!(format!("{copy:?}"), format!("{arena:?}"));
+        copy[0][0] = lit(5);
+        assert_ne!(copy, arena);
+        assert_eq!(&arena[0], &[lit(1), lit(2)]);
+    }
+
+    #[test]
+    fn arena_retain_indexed_compacts_in_order() {
+        let mut arena = ClauseArena::new();
+        for i in 1..=6 {
+            arena.push(&vec![lit(i); i as usize]);
+        }
+        arena.retain_indexed(|i, clause| {
+            assert_eq!(clause.len(), i + 1, "the predicate sees the original clause");
+            i % 2 == 1
+        });
+        let kept: Vec<Vec<Lit>> = arena.iter().map(<[Lit]>::to_vec).collect();
+        assert_eq!(kept, vec![vec![lit(2); 2], vec![lit(4); 4], vec![lit(6); 6]]);
+        assert_eq!(arena.num_lits(), 12);
+        arena.retain_indexed(|_, _| false);
+        assert!(arena.is_empty() && arena.num_lits() == 0);
+    }
+
+    #[test]
+    fn reduce_learned_compacts_and_remaps_locked_reasons() {
+        let mut s = Solver::new(6, SatConfig::default());
+        assert!(s.add_clause(&[lit(1), lit(2), lit(3)])); // 0: problem clause
+        s.record_learned(vec![lit(4), lit(5), lit(6)], true); // 1: reason of x4 (locked)
+        s.record_learned(vec![lit(4), lit(2), lit(3)], true); // 2: unlocked, inactive
+        s.record_learned(vec![lit(4), lit(-2), lit(-3)], true); // 3: unlocked, active
+        s.record_learned(vec![lit(-1), lit(2), lit(3)], false); // 4: reason of ~x1 (locked)
+        s.clause_activity[3] = 10.0;
+        assert_eq!(s.reason[0], Reason::Clause(4));
+        assert_eq!(s.reason[3], Reason::Clause(1));
+        s.max_learned = 1;
+        s.reduce_learned();
+
+        assert_eq!(s.stats.deleted, 1, "only the inactive unlocked clause goes");
+        let kept: Vec<Vec<Lit>> = s.clauses.iter().map(<[Lit]>::to_vec).collect();
+        assert_eq!(
+            kept,
+            vec![
+                vec![lit(1), lit(2), lit(3)],
+                vec![lit(4), lit(5), lit(6)],
+                vec![lit(4), lit(-2), lit(-3)],
+                vec![lit(-1), lit(2), lit(3)],
+            ]
+        );
+        assert_eq!(s.clause_learned, vec![false, true, true, true]);
+        assert_eq!(s.clause_safe, vec![false, true, true, false]);
+        assert_eq!(s.clause_activity[2], 10.0);
+        // The locked reasons follow their clauses to the new indices.
+        assert_eq!(s.reason[0], Reason::Clause(3));
+        assert_eq!(s.reason[3], Reason::Clause(1));
+        // Every kept clause is watched on its first two literals, and nothing else is.
+        let mut watched: Vec<(u32, Lit)> = Vec::new();
+        for (l, list) in s.watches.iter().enumerate() {
+            for w in list {
+                watched.push((w.ci, Lit(l as u32).negate()));
+            }
+        }
+        watched.sort();
+        let mut expected: Vec<(u32, Lit)> = (0..s.clauses.len())
+            .flat_map(|ci| [(ci as u32, s.clauses[ci][0]), (ci as u32, s.clauses[ci][1])])
+            .collect();
+        expected.sort();
+        assert_eq!(watched, expected);
+        assert_eq!(s.search(), SearchResult::Sat);
+    }
+
+    #[test]
+    fn search_path_with_reductions_is_pinned() {
+        // Pigeonhole with one hole as a cardinality constraint (stored linear reasons),
+        // restarting every few conflicts with a tiny learned-clause cap, so restarts
+        // compact the clause arena again and again. The counters pin the exact search:
+        // how clauses are stored and compacted must not move them.
+        let config = SatConfig { restart_base: 4, learned_limit: 1, ..SatConfig::default() };
+        let (pigeons, holes) = (7, 6);
+        let var = |p: usize, h: usize| (p * holes + h) as Var;
+        let mut s = Solver::new(pigeons * holes, config);
+        for p in 0..pigeons {
+            let clause: Vec<Lit> = (0..holes).map(|h| Lit::pos(var(p, h))).collect();
+            assert!(s.add_clause(&clause));
+        }
+        let first_hole = (0..pigeons).map(|p| Lit::pos(var(p, 0))).collect();
+        s.add_linear(LinearSpec::cardinality(None, first_hole, 0, 1));
+        for h in 1..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    assert!(s.add_clause(&[Lit::neg(var(p1, h)), Lit::neg(var(p2, h))]));
+                }
+            }
+        }
+        assert_eq!(s.search(), SearchResult::Unsat);
+        let st = &s.stats;
+        assert_eq!(
+            (st.conflicts, st.decisions, st.propagations, st.restarts, st.learned, st.deleted),
+            (1560, 3160, 28643, 125, 1559, 974)
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::ground::GroundProgram;
 use crate::hasher::FxHashMap;
-use crate::sat::{LinearSpec, Lit, Var};
+use crate::sat::{ClauseArena, LinearSpec, Lit, Var};
 use crate::symbols::AtomId;
 
 /// The clausal form of a ground program.
@@ -26,8 +26,9 @@ pub struct Translation {
     pub num_vars: usize,
     /// Number of program atoms (atom `i` is SAT variable `i`).
     pub num_atoms: usize,
-    /// All clauses.
-    pub clauses: Vec<Vec<Lit>>,
+    /// All clauses, each in canonical form (sorted, deduplicated, no tautology), so
+    /// every solver build can take the `Solver::load_trusted_clauses` path.
+    pub clauses: ClauseArena,
     /// All cardinality constraints (from choice bounds).
     pub linears: Vec<LinearSpec>,
 }
@@ -49,7 +50,7 @@ impl Translation {
         h.write_usize(self.num_vars);
         h.write_usize(self.num_atoms);
         h.write_usize(self.clauses.len());
-        for clause in &self.clauses {
+        for clause in self.clauses.iter() {
             h.write_usize(clause.len());
             for l in clause {
                 h.write_u32(l.index() as u32);
@@ -78,13 +79,21 @@ impl Translation {
 /// Translate a ground program.
 pub fn translate(ground: &GroundProgram) -> Translation {
     let num_atoms = ground.atoms.len();
-    let mut t =
-        Translation { num_vars: num_atoms, num_atoms, clauses: Vec::new(), linears: Vec::new() };
+    let mut t = Translation {
+        num_vars: num_atoms,
+        num_atoms,
+        clauses: ClauseArena::new(),
+        linears: Vec::new(),
+    };
+    // Every clause is canonicalized as it is pushed (tautologies are dropped), once
+    // here instead of per solver build: `Solver::add_clause` performs exactly this
+    // normalization before storing a clause, so canonical clauses produce
+    // byte-identical solver state on the linear-time trusted load path.
 
     // Facts.
     for (id, _) in ground.atoms.iter() {
         if ground.atoms.is_certain(id) {
-            t.clauses.push(vec![Lit::pos(id as Var)]);
+            t.clauses.push_canonical([Lit::pos(id as Var)]);
         }
     }
 
@@ -93,9 +102,11 @@ pub fn translate(ground: &GroundProgram) -> Translation {
     // programs — need no auxiliary at all: the body is equivalent to that literal, so
     // the literal itself stands in, saving one variable and three clauses per body.
     let mut body_aux: FxHashMap<(Vec<AtomId>, Vec<AtomId>), Lit> = FxHashMap::default();
-    // supports[atom] = Some(vec of support body literals); None means "unconditionally
-    // supported" (a fact, an empty-body rule, or an empty-body choice).
-    let mut supports: Vec<Option<Vec<Lit>>> = vec![Some(Vec::new()); num_atoms];
+    // Support body literals as (atom, literal) pairs in derivation order, grouped per
+    // atom below. An unconditionally supported atom (a fact, an empty-body rule, or
+    // an empty-body choice) needs no support clause at all.
+    let mut supports: Vec<(AtomId, Lit)> = Vec::new();
+    let mut unconditional = vec![false; num_atoms];
 
     let mut get_body_lit = |t: &mut Translation, pos: &[AtomId], neg: &[AtomId]| -> Option<Lit> {
         if pos.is_empty() && neg.is_empty() {
@@ -115,17 +126,16 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         t.num_vars += 1;
         body_aux.insert(key, Lit::pos(v));
         // v -> each body literal
-        let mut reverse = vec![Lit::pos(v)];
         for &p in pos {
-            t.clauses.push(vec![Lit::neg(v), Lit::pos(p as Var)]);
-            reverse.push(Lit::neg(p as Var));
+            t.clauses.push_canonical([Lit::neg(v), Lit::pos(p as Var)]);
         }
         for &n in neg {
-            t.clauses.push(vec![Lit::neg(v), Lit::neg(n as Var)]);
-            reverse.push(Lit::pos(n as Var));
+            t.clauses.push_canonical([Lit::neg(v), Lit::neg(n as Var)]);
         }
         // body literals -> v
-        t.clauses.push(reverse);
+        let reverse = pos.iter().map(|&p| Lit::neg(p as Var));
+        let reverse = reverse.chain(neg.iter().map(|&n| Lit::pos(n as Var)));
+        t.clauses.push_canonical(std::iter::once(Lit::pos(v)).chain(reverse));
         Some(Lit::pos(v))
     };
 
@@ -134,27 +144,20 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         match rule.head {
             None => {
                 // Constraint: not all body literals may hold.
-                let mut clause = Vec::with_capacity(rule.pos.len() + rule.neg.len());
-                for &p in &rule.pos {
-                    clause.push(Lit::neg(p as Var));
-                }
-                for &n in &rule.neg {
-                    clause.push(Lit::pos(n as Var));
-                }
-                t.clauses.push(clause);
+                let clause = rule.pos.iter().map(|&p| Lit::neg(p as Var));
+                t.clauses
+                    .push_canonical(clause.chain(rule.neg.iter().map(|&n| Lit::pos(n as Var))));
             }
             Some(head) => {
                 match get_body_lit(&mut t, &rule.pos, &rule.neg) {
                     None => {
                         // Empty body: the head is forced and unconditionally supported.
-                        t.clauses.push(vec![Lit::pos(head as Var)]);
-                        supports[head as usize] = None;
+                        t.clauses.push_canonical([Lit::pos(head as Var)]);
+                        unconditional[head as usize] = true;
                     }
                     Some(b) => {
-                        t.clauses.push(vec![b.negate(), Lit::pos(head as Var)]);
-                        if let Some(list) = supports[head as usize].as_mut() {
-                            list.push(b);
-                        }
+                        t.clauses.push_canonical([b.negate(), Lit::pos(head as Var)]);
+                        supports.push((head, b));
                     }
                 }
             }
@@ -167,12 +170,8 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         // Heads are supported (but not forced) whenever the body holds.
         for &h in &choice.heads {
             match body_lit {
-                None => supports[h as usize] = None,
-                Some(b) => {
-                    if let Some(list) = supports[h as usize].as_mut() {
-                        list.push(b);
-                    }
-                }
+                None => unconditional[h as usize] = true,
+                Some(b) => supports.push((h, b)),
             }
         }
         // Cardinality bounds.
@@ -184,7 +183,9 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         }
     }
 
-    // Support clauses.
+    // Support clauses. The stable sort groups the support literals per atom and
+    // keeps each atom's literals in derivation order.
+    supports.sort_by_key(|&(a, _)| a);
     for (id, _) in ground.atoms.iter() {
         if ground.atoms.is_certain(id) {
             continue;
@@ -195,31 +196,16 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         if ground.atoms.is_external(id) {
             continue;
         }
-        match &supports[id as usize] {
-            None => {} // unconditionally supported
-            Some(list) if list.is_empty() => {
-                // No rule can ever derive this atom: it must be false.
-                t.clauses.push(vec![Lit::neg(id as Var)]);
-            }
-            Some(list) => {
-                let mut clause = Vec::with_capacity(list.len() + 1);
-                clause.push(Lit::neg(id as Var));
-                clause.extend_from_slice(list);
-                t.clauses.push(clause);
-            }
+        if unconditional[id as usize] {
+            continue;
         }
+        // With no support at all this is the unit clause ¬id: no rule can ever
+        // derive the atom, so it must be false.
+        let start = supports.partition_point(|&(a, _)| a < id);
+        let len = supports[start..].partition_point(|&(a, _)| a == id);
+        let list = supports[start..start + len].iter().map(|&(_, b)| b);
+        t.clauses.push_canonical(std::iter::once(Lit::neg(id as Var)).chain(list));
     }
-
-    // Canonicalize every clause (sorted, deduplicated, tautologies dropped) once here
-    // instead of per solver build: `Solver::add_clause` performs exactly this
-    // normalization before storing a clause, so pre-canonicalized clauses produce
-    // byte-identical solver state while qualifying for the linear-time
-    // `Solver::load_trusted_clauses` path on every rebuild.
-    t.clauses.retain_mut(|clause| {
-        clause.sort_unstable();
-        clause.dedup();
-        !clause.windows(2).any(|w| w[0] == w[1].negate())
-    });
 
     t
 }
@@ -239,7 +225,7 @@ mod tests {
         let t = translate(&ground);
         let mut solver = Solver::new(t.num_vars, SatConfig::default());
         let mut ok = true;
-        for c in &t.clauses {
+        for c in t.clauses.iter() {
             if !solver.add_clause(c) {
                 ok = false;
                 break;
@@ -340,5 +326,28 @@ mod tests {
         let model = model.expect("satisfiable");
         assert!(!atom_true(&ground, &symbols, &model, "normal(a)"));
         assert!(atom_true(&ground, &symbols, &model, "normal(b)"));
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        // Canonical clauses, their order and the linear constraints all feed the
+        // digest that keys the cross-request clause store; its value must not move
+        // with the clause storage layout.
+        let program = parse_program(
+            r#"
+            item(a). item(b). item(c).
+            { pick(X) : item(X) } 2 :- go.
+            { go }.
+            both(X, Y) :- pick(X), pick(Y), X != Y, not skip(X).
+            skip(c) :- pick(a), go.
+            :- pick(b), not pick(a).
+            "#,
+        )
+        .unwrap();
+        let mut symbols = SymbolTable::new();
+        let ground = Grounder::new(&mut symbols).ground(&program, &[]).unwrap();
+        let t = translate(&ground);
+        assert_eq!((t.num_vars, t.clauses.len(), t.linears.len()), (20, 41, 1));
+        assert_eq!(t.digest(), 16851828285008809353);
     }
 }

@@ -4,7 +4,8 @@
 //! (setup / ground / solve, Section VII) on fixed representative workloads, so changes to
 //! the engine or the encoding are caught as regressions. The full figure *data* (scatter
 //! plots, CDFs over many packages and buildcache sizes) is produced by the `figures`
-//! binary; see EXPERIMENTS.md.
+//! binary. The repository benchmark, with its Fig. 7 one-shot sweep and its
+//! per-layer metrics, is described in `perfbench/README.md`.
 
 use std::time::Duration;
 

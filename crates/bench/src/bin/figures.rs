@@ -8,7 +8,8 @@
 //! rows for Figures 7a–7c, CDF series for Figures 7d–7h, the build/reuse counts of
 //! Fig. 6, the criteria of Table II). Absolute times are not expected to match the
 //! paper's (the substrate is a from-scratch ASP engine, not clingo on an LLNL cluster);
-//! the *shape* of each result is what is reproduced — see EXPERIMENTS.md.
+//! the *shape* of each result is what is reproduced. The gated end-to-end and
+//! per-layer measurements live in the repository benchmark; see `perfbench/README.md`.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
