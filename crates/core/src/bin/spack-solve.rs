@@ -79,8 +79,8 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "spack-solve — ASP-based dependency solving (SC'22 reproduction)\n\n\
-         USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--portfolio K] [--synthetic N] <spec...>\n  \
-         spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--portfolio K] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
+         USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--synthetic N] <spec...>\n  \
+         spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
          spack-solve providers <virtual>\n  spack-solve list [--synthetic N]\n  spack-solve criteria\n"
     );
 }
@@ -98,7 +98,6 @@ struct SpecOptions {
     lassen: bool,
     stats: bool,
     explain: bool,
-    portfolio: usize,
     synthetic: Option<usize>,
     spec_text: String,
 }
@@ -110,7 +109,6 @@ fn parse_spec_args(args: &[String]) -> Result<SpecOptions, String> {
         lassen: false,
         stats: false,
         explain: false,
-        portfolio: 1,
         synthetic: None,
         spec_text: String::new(),
     };
@@ -123,11 +121,6 @@ fn parse_spec_args(args: &[String]) -> Result<SpecOptions, String> {
             "--lassen" => options.lassen = true,
             "--stats" => options.stats = true,
             "--explain" => options.explain = true,
-            "--portfolio" => {
-                let k =
-                    iter.next().ok_or_else(|| "--portfolio requires a worker count".to_string())?;
-                options.portfolio = k.parse().map_err(|_| format!("invalid worker count '{k}'"))?;
-            }
             "--synthetic" => {
                 let n = iter
                     .next()
@@ -135,6 +128,9 @@ fn parse_spec_args(args: &[String]) -> Result<SpecOptions, String> {
                 options.synthetic =
                     Some(n.parse().map_err(|_| format!("invalid package count '{n}'"))?);
             }
+            // No spec token starts with `--`: a misspelled or removed option must not
+            // be fed to the spec parser.
+            other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             other => rest.push(other.to_string()),
         }
     }
@@ -185,7 +181,7 @@ fn cmd_spec(args: &[String]) -> ExitCode {
     }
 
     let cache;
-    let mut solve_options = SolveOptions::new().site(site).portfolio(options.portfolio);
+    let mut solve_options = SolveOptions::new().site(site);
     if options.reuse {
         cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
         println!("(reuse enabled: {} cached builds)\n", cache.len());
@@ -334,32 +330,24 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
-    println!(
-        "            warm clauses {}, transferred {}, winning seed {:#x}",
-        s.warm_clauses, s.transferred_clauses, s.winner_seed
-    );
+    println!("            warm clauses {}, transferred {}", s.warm_clauses, s.transferred_clauses);
 }
 
-/// `spack-solve batch <file>`: one request per line, answered on a single multi-shot
-/// session (base ground exactly once). The durable runner ([`spack_concretizer::
-/// durable`]) parses, solves, retries, and (with `--state-dir`) checkpoints every
-/// line; failed items land in the dead-letter queue `<state-dir>/dlq.jsonl`. The
-/// exit code is the worst per-line class: 0 all solved, 2 unsatisfiable, 3 spec
-/// parse error, 4 solve budget exhausted, 5 internal error — and 1 for pipeline
-/// errors (bad arguments, unreadable input, state-dir failures).
-fn cmd_batch(args: &[String]) -> ExitCode {
-    let mut reuse = false;
-    let mut lassen = false;
-    let mut stats = false;
-    let mut json = false;
-    let mut portfolio = 1usize;
-    let mut synthetic: Option<usize> = None;
-    let mut state_dir: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut conflict_limit: Option<u64> = None;
-    let mut retries = 1u32;
-    let mut file: Option<String> = None;
+struct BatchOptions {
+    reuse: bool,
+    lassen: bool,
+    stats: bool,
+    json: bool,
+    synthetic: Option<usize>,
+    state_dir: Option<String>,
+    deadline_ms: Option<u64>,
+    conflict_limit: Option<u64>,
+    retries: u32,
+    /// The request file, or `-` for stdin.
+    file: String,
+}
 
+fn parse_batch_args(args: &[String]) -> Result<BatchOptions, String> {
     fn flag_value<'i>(
         iter: &mut impl Iterator<Item = &'i String>,
         flag: &str,
@@ -371,55 +359,81 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         value.parse().map_err(|_| format!("invalid {what} '{value}'"))
     }
 
+    let mut options = BatchOptions {
+        reuse: false,
+        lassen: false,
+        stats: false,
+        json: false,
+        synthetic: None,
+        state_dir: None,
+        deadline_ms: None,
+        conflict_limit: None,
+        retries: 1,
+        file: String::new(),
+    };
+    let mut file: Option<String> = None;
     let mut iter = args.iter();
-    let parsed: Result<(), String> = (|| {
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--reuse" => reuse = true,
-                "--lassen" => lassen = true,
-                "--stats" => stats = true,
-                "--json" => json = true,
-                "--portfolio" => {
-                    let k = flag_value(&mut iter, "--portfolio", "a worker count")?;
-                    portfolio = parse_value(k, "worker count")?;
-                }
-                "--synthetic" => {
-                    let n = flag_value(&mut iter, "--synthetic", "a package count")?;
-                    synthetic = Some(parse_value(n, "package count")?);
-                }
-                "--state-dir" => {
-                    state_dir =
-                        Some(flag_value(&mut iter, "--state-dir", "a directory")?.to_string());
-                }
-                "--deadline-ms" => {
-                    let ms = flag_value(&mut iter, "--deadline-ms", "milliseconds")?;
-                    deadline_ms = Some(parse_value(ms, "deadline")?);
-                }
-                "--conflict-limit" => {
-                    let n = flag_value(&mut iter, "--conflict-limit", "a conflict count")?;
-                    conflict_limit = Some(parse_value(n, "conflict limit")?);
-                }
-                "--retries" => {
-                    let n = flag_value(&mut iter, "--retries", "a retry count")?;
-                    retries = parse_value(n, "retry count")?;
-                }
-                other if file.is_none() => file = Some(other.to_string()),
-                other => return Err(format!("unexpected argument '{other}'")),
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--reuse" => options.reuse = true,
+            "--lassen" => options.lassen = true,
+            "--stats" => options.stats = true,
+            "--json" => options.json = true,
+            "--synthetic" => {
+                let n = flag_value(&mut iter, "--synthetic", "a package count")?;
+                options.synthetic = Some(parse_value(n, "package count")?);
             }
+            "--state-dir" => {
+                options.state_dir =
+                    Some(flag_value(&mut iter, "--state-dir", "a directory")?.to_string());
+            }
+            "--deadline-ms" => {
+                let ms = flag_value(&mut iter, "--deadline-ms", "milliseconds")?;
+                options.deadline_ms = Some(parse_value(ms, "deadline")?);
+            }
+            "--conflict-limit" => {
+                let n = flag_value(&mut iter, "--conflict-limit", "a conflict count")?;
+                options.conflict_limit = Some(parse_value(n, "conflict limit")?);
+            }
+            "--retries" => {
+                let n = flag_value(&mut iter, "--retries", "a retry count")?;
+                options.retries = parse_value(n, "retry count")?;
+            }
+            other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
+            other if file.is_none() => file = Some(other.to_string()),
+            other => return Err(format!("unexpected argument '{other}'")),
         }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
-        eprintln!("==> Error: {e}");
-        return ExitCode::FAILURE;
     }
-    let Some(file) = file else {
-        eprintln!(
-            "usage: spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--portfolio K] \
-             [--synthetic N] [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] \
-             [--retries N] <file>"
-        );
-        return ExitCode::FAILURE;
+    options.file = file.ok_or_else(|| "no request file given".to_string())?;
+    Ok(options)
+}
+
+/// `spack-solve batch <file>`: one request per line, answered on a single multi-shot
+/// session (base ground exactly once). The durable runner ([`spack_concretizer::
+/// durable`]) parses, solves, retries, and (with `--state-dir`) checkpoints every
+/// line; failed items land in the dead-letter queue `<state-dir>/dlq.jsonl`. The
+/// exit code is the worst per-line class: 0 all solved, 2 unsatisfiable, 3 spec
+/// parse error, 4 solve budget exhausted, 5 internal error — and 1 for pipeline
+/// errors (bad arguments, unreadable input, state-dir failures).
+fn cmd_batch(args: &[String]) -> ExitCode {
+    let BatchOptions {
+        reuse,
+        lassen,
+        stats,
+        json,
+        synthetic,
+        state_dir,
+        deadline_ms,
+        conflict_limit,
+        retries,
+        file,
+    } = match parse_batch_args(args) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("==> Error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
     };
     let text = if file == "-" {
         use std::io::Read;
@@ -460,8 +474,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     // The manifest digest covers every option that affects results, so a state dir
     // cannot be resumed under a different configuration (including the output
     // format: checkpointed record outputs are replayed verbatim, so a human-mode
-    // state dir cannot be resumed as --json or vice versa). The portfolio size is
-    // deliberately excluded: results are byte-identical for any K.
+    // state dir cannot be resumed as --json or vice versa).
     let options_desc = format!(
         "reuse={reuse} lassen={lassen} synthetic={synthetic:?} \
          deadline_ms={deadline_ms:?} conflict_limit={conflict_limit:?} retries={retries} \
@@ -484,7 +497,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let repo = repository(synthetic);
     let site = if lassen { SiteConfig::lassen() } else { SiteConfig::quartz() };
     let cache;
-    let mut solve_options = SolveOptions::new().site(site).portfolio(portfolio).budget(budget);
+    let mut solve_options = SolveOptions::new().site(site).budget(budget);
     if reuse {
         cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
         solve_options = solve_options.database(&cache);
@@ -619,4 +632,39 @@ fn cmd_criteria() -> ExitCode {
     }
     println!("  number of builds sits between the bucket groups at priority 100 (Fig. 5)");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn spec_args_reject_unknown_options() {
+        let parsed = parse_spec_args(&args(&["--reuse", "hdf5", "+mpi", "^zlib@1.2.8:"])).unwrap();
+        assert!(parsed.reuse);
+        assert_eq!(parsed.spec_text, "hdf5 +mpi ^zlib@1.2.8:");
+        let err = parse_spec_args(&args(&["--bogus", "zlib"])).err();
+        assert_eq!(err.as_deref(), Some("unknown option '--bogus'"));
+        let err = parse_spec_args(&args(&["zlib", "--workers", "2"])).err();
+        assert_eq!(err.as_deref(), Some("unknown option '--workers'"));
+    }
+
+    #[test]
+    fn batch_args_reject_unknown_options_and_keep_stdin() {
+        let parsed = parse_batch_args(&args(&["--json", "--retries", "3", "-"])).unwrap();
+        assert!(parsed.json);
+        assert_eq!(parsed.retries, 3);
+        assert_eq!(parsed.file, "-");
+        assert_eq!(parse_batch_args(&args(&["requests.txt"])).unwrap().file, "requests.txt");
+        let err = parse_batch_args(&args(&["--bogus", "x"])).err();
+        assert_eq!(err.as_deref(), Some("unknown option '--bogus'"));
+        let err = parse_batch_args(&args(&["x", "--workers", "2"])).err();
+        assert_eq!(err.as_deref(), Some("unknown option '--workers'"));
+        assert!(parse_batch_args(&args(&["--json"])).is_err(), "a request file is required");
+        assert!(parse_batch_args(&args(&["a", "b"])).is_err(), "one request file only");
+    }
 }

@@ -340,8 +340,6 @@ pub struct RequestOptions {
     pub deadline_ms: Option<u64>,
     /// Conflict limit of the solve budget.
     pub conflict_limit: Option<u64>,
-    /// Portfolio width (`0`/`1` = serial); results are byte-identical for any value.
-    pub portfolio: Option<usize>,
     /// Attach the shard's cross-request nogood store to this request (default on);
     /// results are byte-identical either way.
     pub nogood_store: Option<bool>,
@@ -365,9 +363,6 @@ impl RequestOptions {
         }
         if let Some(v) = json.get("conflict_limit") {
             options.conflict_limit = Some(v.as_u64().ok_or("'conflict_limit' must be an integer")?);
-        }
-        if let Some(v) = json.get("portfolio") {
-            options.portfolio = Some(v.as_u64().ok_or("'portfolio' must be an integer")? as usize);
         }
         if let Some(v) = json.get("nogood_store") {
             options.nogood_store = Some(v.as_bool().ok_or("'nogood_store' must be a boolean")?);
@@ -403,9 +398,6 @@ impl RequestOptions {
         if let Some(n) = self.conflict_limit {
             fields.push(format!("\"conflict_limit\": {n}"));
         }
-        if let Some(k) = self.portfolio {
-            fields.push(format!("\"portfolio\": {k}"));
-        }
         if let Some(on) = self.nogood_store {
             fields.push(format!("\"nogood_store\": {on}"));
         }
@@ -432,9 +424,6 @@ impl RequestOptions {
     pub fn apply(&self, cfg: &mut SolverConfig) {
         if let Some(budget) = self.budget() {
             cfg.budget = Some(budget);
-        }
-        if let Some(k) = self.portfolio {
-            cfg.portfolio = k;
         }
         if let Some(on) = self.nogood_store {
             cfg.share_nogoods = on;
@@ -913,7 +902,6 @@ mod tests {
             reuse: Some(true),
             deadline_ms: Some(250),
             conflict_limit: Some(1000),
-            portfolio: Some(4),
             nogood_store: Some(false),
             seed: Some(u64::MAX),
             retries: Some(2),
@@ -926,7 +914,6 @@ mod tests {
 
         let mut cfg = SolverConfig::default();
         options.apply(&mut cfg);
-        assert_eq!(cfg.portfolio, 4);
         assert!(!cfg.share_nogoods);
         assert_eq!(cfg.seed, u64::MAX);
         let budget = cfg.budget.unwrap();
@@ -937,9 +924,28 @@ mod tests {
         RequestOptions::default().apply(&mut cfg);
         let base = SolverConfig::default();
         assert_eq!(cfg.seed, base.seed);
-        assert_eq!(cfg.portfolio, base.portfolio);
         assert_eq!(cfg.share_nogoods, base.share_nogoods);
         assert!(cfg.budget.is_none());
+    }
+
+    #[test]
+    fn removed_portfolio_field_is_ignored_as_unknown() {
+        // Clients written against older servers may still send the removed
+        // `portfolio` option: it must parse like any unknown field and leave the
+        // response byte-identical to the same request without it.
+        let with = r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal", "portfolio": 4}}"#;
+        let without = r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal"}}"#;
+        assert_eq!(parse_request(with).unwrap(), parse_request(without).unwrap());
+        let repo = spack_repo::builtin_repo();
+        let serve = |line: &str| {
+            let mut out: Vec<u8> = Vec::new();
+            let config = crate::server::ServerConfig::default();
+            crate::server::serve_pipe(&repo, None, &config, line.as_bytes(), &mut out);
+            String::from_utf8(out).expect("utf8 responses")
+        };
+        let response = serve(with);
+        assert_eq!(SolveResponse::parse(response.trim()).unwrap().status, SolveStatus::Ok);
+        assert_eq!(response, serve(without));
     }
 
     #[test]

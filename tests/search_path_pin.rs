@@ -11,7 +11,7 @@
 //! (heuristics, the logic program, the fact generator, the builtin repo).
 
 use asp::{AssumeOutcome, Assumption, Control, Stats, Value};
-use spack_concretizer::{setup_problem, ConcretizeError, Concretizer, SiteConfig};
+use spack_concretizer::{setup_problem, ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_concretizer::{CONCRETIZE_LP, ERROR_GUARD_LP};
 use spack_repo::builtin_repo;
 use spack_spec::parse_spec;
@@ -171,7 +171,7 @@ fn unsat_diagnostics_search_path() {
     // re-solve, warm-started from the hard solve's clause cache.
     let repo = builtin_repo();
     let err = Concretizer::new(&repo)
-        .with_site(SiteConfig::quartz())
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
         .concretize_str("zlib@9.9")
         .unwrap_err();
     let ConcretizeError::Unsatisfiable { diagnostics, stats } = err else {
@@ -193,7 +193,8 @@ fn session_store_transfer_search_path() {
     // the first shelved in the cross-request store, so its path covers the store's
     // fetch and the trusted replay of transferred clauses.
     let repo = builtin_repo();
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+    let concretizer =
+        Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
     let session = concretizer.session().unwrap();
     let roots = [parse_spec("berkeleygw").unwrap()];
     let first = session.concretize(&roots).unwrap();

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig};
+use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, synth_repo, SynthConfig};
 use spack_spec::parse_spec;
 use spack_store::{synthesize_buildcache, BuildcacheConfig};
@@ -62,7 +62,8 @@ fn requests_for(repo: &spack_repo::Repository, picks: &[usize]) -> Vec<String> {
 /// Session-mode, batch-mode, and one-shot solves must be observationally identical,
 /// including interleaved SAT and UNSAT requests on one long-lived session.
 fn assert_session_matches_one_shot(repo: &spack_repo::Repository, specs: &[String]) {
-    let concretizer = Concretizer::new(repo).with_site(SiteConfig::minimal());
+    let concretizer =
+        Concretizer::new(repo).with_options(SolveOptions::new().site(SiteConfig::minimal()));
     let session = concretizer.session().expect("session build");
     // Interleaved sequential requests on ONE session.
     for spec in specs {
@@ -136,7 +137,8 @@ proptest! {
 fn session_matches_one_shot_with_buildcache() {
     let repo = builtin_repo();
     let cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz()).with_database(&cache);
+    let concretizer = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()).database(&cache));
     let session = concretizer.session().expect("session build");
     for spec in ["zlib", "hdf5", "mpileaks", "zlib@9.9", "example~bzip", "netcdf-c ^hdf5~mpi"] {
         let one = render(&concretizer.concretize_str(spec));
@@ -151,7 +153,8 @@ fn session_matches_one_shot_with_buildcache() {
 #[test]
 fn session_grounds_base_once_across_many_requests() {
     let repo = builtin_repo();
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+    let concretizer =
+        Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
     let session = concretizer.session().expect("session build");
     let specs = [
         "zlib",
