@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use crate::ast::Program;
 use crate::ground::{BaseProgram, GroundError, GroundProgram, GroundStats, Grounder, PatchStats};
 use crate::optimize::{
-    enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptStrategy, OptimalModel,
-    OptimizeError, ProbeVerdict, StableProbe,
+    enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptimalModel, OptimizeError,
+    ProbeVerdict, StableProbe,
 };
 use crate::parser::{parse_program, ParseError};
 use crate::sat::{Lit, SatConfig, SolveBudgetState};
@@ -187,13 +187,11 @@ impl Drop for BudgetGuard {
     }
 }
 
-/// Solver configuration: preset, optimization strategy, and RNG seed.
+/// Solver configuration: preset, RNG seed, priority floor and budget.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Search parameter preset.
     pub preset: Preset,
-    /// Optimization strategy.
-    pub strategy: OptStrategy,
     /// Seed for randomized tie-breaking.
     pub seed: u64,
     /// Minimize levels with a priority below this floor are dropped from the
@@ -202,10 +200,6 @@ pub struct SolverConfig {
     /// high-priority `error(Priority, Msg, Args)` levels on the relaxed second-phase
     /// solve.
     pub priority_floor: i64,
-    /// Share provenance-safe learned clauses between requests with an identical
-    /// translation (same closure digest) through the session's
-    /// [`crate::SharedClauseStore`]. Results are byte-identical either way.
-    pub share_nogoods: bool,
     /// Optional per-solve resource budget (wall deadline and/or conflict limit);
     /// `None` means every solve runs to completion. See [`SolveBudget`].
     pub budget: Option<SolveBudget>,
@@ -213,19 +207,12 @@ pub struct SolverConfig {
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig {
-            preset: Preset::default(),
-            strategy: OptStrategy::default(),
-            seed: 0,
-            priority_floor: i64::MIN,
-            share_nogoods: true,
-            budget: None,
-        }
+        SolverConfig { preset: Preset::default(), seed: 0, priority_floor: i64::MIN, budget: None }
     }
 }
 
 impl SolverConfig {
-    /// Create a configuration from a preset with the default strategy.
+    /// Create a configuration from a preset with default settings otherwise.
     pub fn preset(preset: Preset) -> Self {
         SolverConfig { preset, ..Default::default() }
     }
@@ -479,11 +466,8 @@ pub struct Stats {
     pub deleted: u64,
     /// Clauses replayed from the session clause cache (loop nogoods + provenance-safe
     /// learned clauses of earlier solves on this grounding) into the most recent
-    /// solve's solvers — the warm-start the shared cache provides.
+    /// solve's solvers — the warm-start the cache provides.
     pub warm_clauses: u64,
-    /// Clauses transferred into this control's clause cache from the cross-request
-    /// [`crate::SharedClauseStore`] (zero without a store or on a store miss).
-    pub transferred_clauses: u64,
     /// Did the most recent solve end because its [`SolveBudget`] expired?
     pub budget_exhausted: bool,
 }
@@ -532,14 +516,6 @@ pub struct Control {
     /// diagnostics re-solve after a failed hard solve) warm-start instead of
     /// re-deriving program consequences. Invalidated by [`Control::ground`].
     clause_cache: crate::sat::ClauseCache,
-    /// Cross-request clause store shared between the controls of one session (see
-    /// [`Control::set_shared_store`]): [`Control::ground`] pre-seeds the clause cache
-    /// from the shelf keyed by the translation's closure digest, and every solve
-    /// publishes the cache back.
-    shared_store: Option<Arc<crate::sat::SharedClauseStore>>,
-    /// The shelf key of the current grounding (its translation's closure digest),
-    /// once a store is attached and [`Control::ground`] has run.
-    store_key: Option<u64>,
 }
 
 /// A program plus its base facts, ground once and frozen — the shared half of a
@@ -579,8 +555,6 @@ impl FrozenControl {
             restricted_ints: Vec::new(),
             restriction_requested: false,
             clause_cache: crate::sat::ClauseCache::default(),
-            shared_store: None,
-            store_key: None,
         }
     }
 
@@ -668,20 +642,7 @@ impl Control {
             restricted_ints: Vec::new(),
             restriction_requested: false,
             clause_cache: crate::sat::ClauseCache::default(),
-            shared_store: None,
-            store_key: None,
         }
-    }
-
-    /// Attach the cross-request clause store shared by a session: from the next
-    /// [`Control::ground`] on, this control's clause cache is pre-seeded with the
-    /// provenance-safe clauses earlier requests learned on an *identical* translation
-    /// (same closure digest — same formula, variable ids included), and every solve
-    /// publishes its own harvest back. Must be called before [`Control::ground`] to
-    /// take effect for that grounding. Results are byte-identical with or without a
-    /// store; transfers only speed the search up.
-    pub fn set_shared_store(&mut self, store: Arc<crate::sat::SharedClauseStore>) {
-        self.shared_store = Some(store);
     }
 
     /// Restrict this request's view of the frozen base (session forks only): every
@@ -862,15 +823,6 @@ impl Control {
         self.translation = Some(translation);
         self.retired_unsat = None; // built against the previous translation
         self.clause_cache = crate::sat::ClauseCache::default(); // ditto
-        self.stats.transferred_clauses = 0;
-        if let Some(store) = &self.shared_store {
-            // Cross-request transfer: pre-seed the fresh cache with the clauses
-            // sibling requests learned on an identical translation. Equal digest ⇒
-            // identical formula ⇒ every provenance-safe clause holds verbatim.
-            let key = self.translation.as_ref().expect("just set").digest();
-            self.store_key = Some(key);
-            self.stats.transferred_clauses = store.fetch_into(key, &mut self.clause_cache) as u64;
-        }
         Ok(())
     }
 
@@ -974,7 +926,6 @@ impl Control {
             ground,
             translation,
             &self.config.sat_config(),
-            self.config.strategy,
             &lits,
             &fixed,
             priority_floor,
@@ -984,7 +935,6 @@ impl Control {
         );
         drop(guard);
         self.clause_cache = cache;
-        self.publish_cache();
         let result = result?;
         self.stats.solve_time += start.elapsed();
         match result {
@@ -1029,7 +979,7 @@ impl Control {
     /// are *necessary* and kept, the others are deleted. Each test is a plain stable-
     /// model probe (no optimization) consuming only the SAT/UNSAT verdict — a fact
     /// about the formula — so the minimized core is a deterministic function of the
-    /// input core, independent of warm starts and cross-request clause transfers.
+    /// input core, independent of warm starts from the clause cache.
     /// Returns the minimized core (indices into `assumptions`) and the number of probe
     /// solves performed.
     ///
@@ -1113,7 +1063,7 @@ impl Control {
                     // probe the next candidate at the same position. Only the UNSAT
                     // *verdict* is consumed, never the probe's own sub-core: a
                     // final-conflict core depends on the probe's learned-clause
-                    // trajectory (warm starts, cross-request transfers), while the
+                    // trajectory (warm starts from the clause cache), while the
                     // verdict is a fact about the formula — so the minimized core is
                     // a deterministic function of the input core alone.
                     core.remove(i);
@@ -1131,18 +1081,9 @@ impl Control {
         let probe_stats = probe.stats().clone();
         probe.harvest_into(&mut cache);
         self.clause_cache = cache;
-        self.publish_cache();
         self.record_sat_stats(&probe_stats);
         self.stats.solve_time += start.elapsed();
         Ok((core, rounds))
-    }
-
-    /// Publish the session clause cache to the cross-request store (no-op without an
-    /// attached store or before grounding).
-    fn publish_cache(&self) {
-        if let (Some(store), Some(key)) = (&self.shared_store, self.store_key) {
-            store.publish(key, &self.clause_cache);
-        }
     }
 
     /// The SAT literal for an assumption, or `None` when the assumed atom does not

@@ -75,5 +75,3 @@ pub use control::{
     SolveOutcome, SolverConfig, Stats, Value,
 };
 pub use ground::PatchStats;
-pub use optimize::OptStrategy;
-pub use sat::SharedClauseStore;

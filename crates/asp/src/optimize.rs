@@ -9,22 +9,14 @@
 //!
 //! # Determinism
 //!
-//! Every search of the descent runs on one serial solver, but the *trajectory*
-//! (incumbent models, the order loop nogoods are found, learned clauses) still depends
-//! on what the session clause cache replays into it, and the cache may carry clauses
-//! transferred in from sibling requests. The returned result does not:
-//!
-//! * the **cost vector** is the lexicographic optimum, unique regardless of the
-//!   trajectory that proved each bound;
-//! * the **model** is re-derived by a final *canonical extraction* solve — a fresh,
-//!   cold-started solver over (translation, fixed externals, every level pinned at its
-//!   optimal bound), a deterministic function of the problem alone. With all levels
-//!   simultaneously bounded at the optimum `c*`, any stable model found has cost
-//!   exactly `c*` (level 1 cannot go below the global minimum; given equality there,
-//!   level 2 cannot; and so on), so the extraction always succeeds and always returns
-//!   the same model, whatever the cache held;
-//! * an **unsat core** is either taken from a cold-cache search, or re-proved on a
-//!   cold-started solver (see [`solve_optimal_assuming`]).
+//! Every request solves once: the descent drives one serial solver at a time, and the
+//! only state it inherits is the clause cache of its own grounding, which starts empty
+//! when that grounding is made. Nothing is shared across requests, so the search is a
+//! fixed function of the translation, the solver configuration, the fixed externals,
+//! the assumptions and the earlier solves on the same cache. The returned **model** is
+//! the descent's last incumbent, the **cost vector** is its lexicographic optimum, and
+//! an **unsat core** is the failed-assumption set of the refuting solver. Equal inputs
+//! give byte-identical answers.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -57,18 +49,6 @@ pub struct OptimalModel {
     pub sat: SatStats,
 }
 
-/// Strategy used to drive the optimization (mirrors clasp's `--opt-strategy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptStrategy {
-    /// Model-guided branch and bound, level by level (clasp `bb,lin`).
-    #[default]
-    BranchAndBound,
-    /// Branch and bound with an aggressive first descent: after each improving model the
-    /// bound is set to the model's value minus one for *every* remaining level at once
-    /// (closer in spirit to core-guided descent; still complete).
-    Descent,
-}
-
 /// Outcome of an assumption-aware optimizing solve ([`solve_optimal_assuming`]).
 #[derive(Debug, Clone)]
 pub enum OptOutcome {
@@ -87,10 +67,10 @@ pub enum OptOutcome {
     /// was proven.
     Budget {
         /// The best stable model branch-and-bound had proven when the budget
-        /// expired, with the costs it achieved — *not* guaranteed optimal, and
-        /// (unlike [`OptOutcome::Optimal`]) trajectory-dependent, since the
-        /// canonical re-extraction is skipped under an expired budget. `None` when
-        /// the budget expired before any stable model was found.
+        /// expired, with the costs it achieved — *not* guaranteed optimal. Under a
+        /// wall deadline it depends on how far the search got, so it can differ
+        /// between runs; under a conflict limit alone it is deterministic. `None`
+        /// when the budget expired before any stable model was found.
         partial: Option<Box<OptimalModel>>,
         /// Aggregated solver statistics of the interrupted solve.
         sat: SatStats,
@@ -140,7 +120,6 @@ pub fn solve_optimal(
     ground: &GroundProgram,
     translation: &Translation,
     config: &SatConfig,
-    strategy: OptStrategy,
 ) -> Result<Option<OptimalModel>, OptimizeError> {
     let mut retired = None;
     let mut cache = ClauseCache::default();
@@ -148,7 +127,6 @@ pub fn solve_optimal(
         ground,
         translation,
         config,
-        strategy,
         &[],
         &[],
         i64::MIN,
@@ -190,17 +168,19 @@ pub fn solve_optimal(
 /// the provenance-safe learned clauses of each retiring solver) flows back into it.
 ///
 /// `budget` is an optional shared solve budget (see [`SolveBudgetState`]): it is
-/// installed into *every* solver this solve builds — the descent solvers and the
-/// canonical extraction/core re-proof alike — so an armed budget interrupts the solve
-/// within one solver check interval no matter which phase it is in. An interrupted
-/// solve returns [`OptOutcome::Budget`], carrying the incumbent model when
+/// installed into *every* solver this solve builds, so an armed budget interrupts the
+/// solve within one solver check interval no matter which level it is on. An
+/// interrupted solve returns [`OptOutcome::Budget`], carrying the incumbent model when
 /// branch-and-bound had already proven one (graceful degradation).
+///
+/// The returned model is the descent's last incumbent and the core is the refuting
+/// solver's failed-assumption set; no second solve re-derives either (see the module
+/// docs on determinism).
 #[allow(clippy::too_many_arguments)]
 pub fn solve_optimal_assuming(
     ground: &GroundProgram,
     translation: &Translation,
     config: &SatConfig,
-    strategy: OptStrategy,
     assumptions: &[Lit],
     fixed: &[Lit],
     priority_floor: i64,
@@ -214,14 +194,9 @@ pub fn solve_optimal_assuming(
     let levels: Vec<Level> =
         collect_levels(ground)?.into_iter().filter(|l| l.priority >= priority_floor).collect();
     let mut stats = RunStats::default();
-    // A warm-started cache (cross-request transfers) makes the search *trajectory*
-    // irreproducible; remember whether one is in play, because an unsat core is only
-    // canonical on a cold cache (see the UNSAT arm below).
-    let deterministic_trajectory = cache.is_empty();
     // Loop nogoods discovered by the stability check are shared across solver runs.
     let mut extra_clauses = ClauseArena::new();
-    // One occurrence index serves every stability check of this solve: the descent,
-    // the canonical extraction and the canonical core re-proof.
+    // One occurrence index serves every stability check of this solve.
     let mut stability = Stability {
         ground,
         checker: StabilityChecker::new(ground),
@@ -263,31 +238,7 @@ pub fn solve_optimal_assuming(
                 // prove an objective bound optimal and carry no core).
                 stats.sat.absorb(&solver.stats);
                 cache.harvest(solver);
-                let core = if deterministic_trajectory {
-                    // A cold cache: the solver just ran the exact deterministic
-                    // refutation, so its core is the canonical one.
-                    solver.failed_assumptions().to_vec()
-                } else {
-                    // The refuting trajectory was steered by transferred clauses, and
-                    // final-conflict cores are trajectory-dependent. Re-prove on a
-                    // fresh cold-started solver — the same search a cold solve would
-                    // have run — so diagnostics never depend on what happened to be
-                    // cached. An expired budget interrupts the re-proof; the live
-                    // solver's core (sound, merely trajectory-dependent) is the
-                    // graceful fallback.
-                    canonical_core(
-                        &mut stability,
-                        translation,
-                        config,
-                        &levels,
-                        fixed,
-                        assumptions,
-                        &mut stats,
-                        cache,
-                        budget,
-                    )
-                    .unwrap_or_else(|| solver.failed_assumptions().to_vec())
-                };
+                let core = solver.failed_assumptions().to_vec();
                 // Uninstall the budget so an adopter of the retired solver can never
                 // observe a stale interrupt.
                 solver.set_budget(None);
@@ -367,24 +318,9 @@ pub fn solve_optimal_assuming(
             // classic descent reaches a zero-cost model just as fast when one exists,
             // and a failed probe would waste a full UNSAT proof (plus a solver
             // rebuild) on levels whose optimum is small but nonzero.
-            let optimistic = !optimistic_failed
-                && current > 2
-                && strategy == OptStrategy::BranchAndBound
-                && live_bounds[li].is_none();
+            let optimistic = !optimistic_failed && current > 2 && live_bounds[li].is_none();
             let bound = if optimistic { 0 } else { current - 1 };
-            match strategy {
-                OptStrategy::BranchAndBound => {
-                    set_level_bound(solver, &mut live_bounds, li, level, bound);
-                }
-                OptStrategy::Descent => {
-                    // Demand improvement on this level and at least no regression on the
-                    // remaining ones simultaneously.
-                    set_level_bound(solver, &mut live_bounds, li, level, bound);
-                    for (lj, l) in levels.iter().enumerate().skip(li + 1) {
-                        set_level_bound(solver, &mut live_bounds, lj, l, best_costs[lj]);
-                    }
-                }
-            }
+            set_level_bound(solver, &mut live_bounds, li, level, bound);
             match run_stable(
                 solver,
                 &mut stability,
@@ -400,29 +336,12 @@ pub fn solve_optimal_assuming(
                 StableOutcome::Interrupted => {
                     // Budget expired mid-descent: degrade gracefully to the incumbent
                     // — a genuine stable model satisfying every bound proven so far,
-                    // just not necessarily optimal. No canonical re-extraction (it
-                    // would be interrupted too); under an expired budget the model is
-                    // trajectory-dependent by design.
+                    // just not necessarily optimal.
                     stats.sat.absorb(&solver.stats);
                     cache.harvest(solver);
-                    let cost = levels
-                        .iter()
-                        .zip(best_costs.iter())
-                        .map(|(l, &c)| (l.priority, c + l.base))
-                        .collect();
-                    let partial = OptimalModel {
-                        model: best,
-                        cost,
-                        models_examined: stats.models,
-                        solver_runs: stats.runs,
-                        conflicts: stats.sat.conflicts,
-                        loop_nogoods: stats.loop_nogoods,
-                        sat: stats.sat.clone(),
-                    };
-                    return Ok(OptOutcome::Budget {
-                        partial: Some(Box::new(partial)),
-                        sat: stats.sat,
-                    });
+                    let sat = stats.sat.clone();
+                    let partial = incumbent(&levels, &best_costs, best, stats);
+                    return Ok(OptOutcome::Budget { partial: Some(Box::new(partial)), sat });
                 }
                 StableOutcome::Unsat => {
                     // The bound that failed poisons the solver either way, so retire
@@ -455,154 +374,21 @@ pub fn solve_optimal_assuming(
         cache.harvest(solver);
     }
     drop(live);
+    Ok(OptOutcome::Optimal(incumbent(&levels, &best_costs, best, stats)))
+}
 
-    // Canonical model extraction: the incumbent `best` depends on the search
-    // trajectory (which clauses were transferred in), but the optimal cost vector
-    // `best_costs` does not — it is the unique lexicographic optimum. Re-derive the
-    // returned model on a fresh, cold-started solver with every level pinned at its
-    // optimal bound: its inputs are a deterministic function of the problem alone, so
-    // cold and warm-started solves return the same model byte for byte. With all
-    // levels simultaneously bounded at the optimum, any stable model of the pinned
-    // program has exactly the optimal cost (no level can beat its own proven optimum
-    // given equality above it), so the extraction cannot fail; the incumbent stays as
-    // a debug-checked safety net.
-    match extract_canonical(
-        &mut stability,
-        translation,
-        config,
-        &levels,
-        fixed,
-        &fixed_bounds,
-        assumptions,
-        &mut stats,
-        cache,
-        budget,
-    ) {
-        StableOutcome::Model(model) => best = model,
-        StableOutcome::Interrupted => {
-            // The budget expired between the optimality proof and the canonical
-            // re-extraction: the costs are optimal but the returned model would be
-            // trajectory-dependent, so surface the incumbent as a budget partial
-            // rather than breaking the "Optimal implies deterministic" contract.
-            let cost = levels
-                .iter()
-                .zip(best_costs.iter())
-                .map(|(l, &c)| (l.priority, c + l.base))
-                .collect();
-            let partial = OptimalModel {
-                model: best,
-                cost,
-                models_examined: stats.models,
-                solver_runs: stats.runs,
-                conflicts: stats.sat.conflicts,
-                loop_nogoods: stats.loop_nogoods,
-                sat: stats.sat.clone(),
-            };
-            return Ok(OptOutcome::Budget { partial: Some(Box::new(partial)), sat: stats.sat });
-        }
-        StableOutcome::Unsat => {
-            debug_assert!(false, "extraction under pinned optimal bounds must be satisfiable");
-        }
-    }
-
-    let cost =
-        levels.iter().zip(best_costs.iter()).map(|(l, &c)| (l.priority, c + l.base)).collect();
-    Ok(OptOutcome::Optimal(OptimalModel {
-        model: best,
+/// Package the incumbent `model` with its per-level costs (`costs`, without the
+/// levels' constant contributions) and the solve's counters.
+fn incumbent(levels: &[Level], costs: &[i64], model: Vec<bool>, stats: RunStats) -> OptimalModel {
+    let cost = levels.iter().zip(costs).map(|(l, &c)| (l.priority, c + l.base)).collect();
+    OptimalModel {
+        model,
         cost,
         models_examined: stats.models,
         solver_runs: stats.runs,
         conflicts: stats.sat.conflicts,
         loop_nogoods: stats.loop_nogoods,
         sat: stats.sat,
-    }))
-}
-
-/// Build a fresh cold-started solver over the translation (plus `bounds`), with the
-/// objective literals phase-biased false — the deterministic solver setup shared by
-/// the canonical model extraction and the canonical core re-proof. Nothing
-/// trajectory-dependent (session cache contents, accumulated loop nogoods, incumbent
-/// phases) flows in, which is precisely what makes the result cache-independent.
-fn deterministic_solver(
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    bounds: &[LinearSpec],
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> Solver {
-    let empty = ClauseCache::default();
-    let mut solver =
-        build_solver(translation, config, fixed, bounds, &ClauseArena::new(), &empty, budget);
-    for level in levels {
-        for &(l, _) in &level.lits {
-            solver.set_phase(l.var(), !l.is_pos());
-        }
-    }
-    solver
-}
-
-/// The canonical model extraction run (see [`solve_optimal_assuming`]): one
-/// deterministic stable-model search with every level pinned at its optimum. Loop
-/// nogoods it discovers still flow into the session cache, and its low-level solver
-/// work is absorbed into the aggregate statistics — but its model/nogood counters
-/// stay local, because they describe the deterministic re-derivation of the answer,
-/// not the optimization descent (a warm-started descent that re-derived nothing must
-/// still report zero loop nogoods).
-#[allow(clippy::too_many_arguments)]
-fn extract_canonical(
-    stability: &mut Stability,
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    bounds: &[LinearSpec],
-    assumptions: &[Lit],
-    stats: &mut RunStats,
-    cache: &mut ClauseCache,
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> StableOutcome {
-    let mut solver = deterministic_solver(translation, config, levels, fixed, bounds, budget);
-    let mut local = RunStats::default();
-    let outcome =
-        run_stable(&mut solver, stability, &mut ClauseArena::new(), assumptions, &mut local, cache);
-    stats.runs += local.runs;
-    stats.sat.absorb(&solver.stats);
-    cache.harvest(&solver);
-    outcome
-}
-
-/// Re-prove an UNSAT outcome on a fresh cold-started solver and return *its*
-/// failed-assumption core — the same core a cold solve computes, making diagnostics
-/// independent of cross-request clause transfers.
-/// Returns `None` when the solve budget expired before the re-proof finished; the
-/// caller falls back to a sound (but trajectory-dependent) core.
-#[allow(clippy::too_many_arguments)]
-fn canonical_core(
-    stability: &mut Stability,
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    assumptions: &[Lit],
-    stats: &mut RunStats,
-    cache: &mut ClauseCache,
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> Option<Vec<Lit>> {
-    let mut solver = deterministic_solver(translation, config, levels, fixed, &[], budget);
-    let mut local = RunStats::default();
-    let outcome =
-        run_stable(&mut solver, stability, &mut ClauseArena::new(), assumptions, &mut local, cache);
-    stats.runs += local.runs;
-    stats.sat.absorb(&solver.stats);
-    cache.harvest(&solver);
-    match outcome {
-        StableOutcome::Unsat => Some(solver.failed_assumptions().to_vec()),
-        StableOutcome::Interrupted => None,
-        StableOutcome::Model(_) => {
-            debug_assert!(false, "the re-proof of an UNSAT search must be UNSAT");
-            Some(Vec::new())
-        }
     }
 }
 
@@ -918,8 +704,7 @@ fn build_solver(
         solver.add_linear_safe(lin.clone());
     }
     // Session cache: loop nogoods and safe learned clauses from earlier solves on
-    // this grounding (possibly transferred in from sibling requests with the same
-    // closure digest).
+    // this grounding.
     solver.load_trusted_clauses(cache.clauses().iter(), true);
     for clause in extra_clauses.iter() {
         if !solver.add_clause_safe(clause) {
@@ -1084,14 +869,9 @@ mod tests {
             #minimize{ W@3,P,V : version_weight(P, V, W) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         let atoms = true_atoms(&ground, &symbols, &result.model);
         assert!(atoms.contains(&"version(p,v_new)".to_string()), "{atoms:?}");
         assert_eq!(result.cost, vec![(3, 0)]);
@@ -1112,36 +892,12 @@ mod tests {
             #minimize{ W@1,P : low(P, W) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         let atoms = true_atoms(&ground, &symbols, &result.model);
         assert!(atoms.contains(&"pick(x)".to_string()));
         assert_eq!(result.cost, vec![(10, 0), (1, 7)]);
-    }
-
-    #[test]
-    fn descent_strategy_matches_bb_result() {
-        let text = r#"
-            1 { pick(x); pick(y); pick(z) } 1.
-            cost(x, 3). cost(y, 1). cost(z, 2).
-            paid(P, W) :- pick(P), cost(P, W).
-            #minimize{ W@1,P : paid(P, W) }.
-        "#;
-        let (ground, translation, symbols) = setup(text);
-        for strategy in [OptStrategy::BranchAndBound, OptStrategy::Descent] {
-            let result = solve_optimal(&ground, &translation, &SatConfig::default(), strategy)
-                .unwrap()
-                .expect("satisfiable");
-            let atoms = true_atoms(&ground, &symbols, &result.model);
-            assert!(atoms.contains(&"pick(y)".to_string()), "{strategy:?}: {atoms:?}");
-            assert_eq!(result.cost, vec![(1, 1)]);
-        }
     }
 
     #[test]
@@ -1170,13 +926,7 @@ mod tests {
             :- p(a).
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap();
+        let result = solve_optimal(&ground, &translation, &SatConfig::default()).unwrap();
         assert!(result.is_none());
     }
 
@@ -1188,14 +938,9 @@ mod tests {
             #minimize{ 4@2,a : always(a) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         assert_eq!(result.cost, vec![(2, 4)]);
     }
 }

@@ -43,10 +43,9 @@
 //! grounding and replays them into each newly built solver: later solves warm-start
 //! from everything the earlier ones learned about the program itself.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::hasher::FxHashSet;
 use rand::rngs::StdRng;
@@ -106,7 +105,7 @@ impl fmt::Display for Lit {
 ///
 /// Building, cloning and dropping a store of `n` clauses costs a few large
 /// allocations instead of `n` small ones, which is what makes per-level solver
-/// rebuilds, cross-request clause transfers and solver teardown cheap. Clauses are
+/// rebuilds, clause-cache replays and solver teardown cheap. Clauses are
 /// addressed by their insertion index and read as `&[Lit]` / `&mut [Lit]`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ClauseArena {
@@ -290,8 +289,8 @@ pub enum SearchResult {
 }
 
 /// Shared budget accounting for one logical solve: every solver that one
-/// `Control::solve*` call builds (each descent step, the canonical extraction and the
-/// core re-proof) points at the same instance. It is the only source of
+/// `Control::solve*` call builds (the initial run and each per-level rebuild of the
+/// descent) points at the same instance. It is the only source of
 /// [`SearchResult::Interrupted`]. The search loop checks it once per
 /// propagation/conflict round, so an expired budget is observed within one round —
 /// the "one solver check interval" of the deadline contract.
@@ -695,7 +694,7 @@ impl Solver {
     /// [`ClauseCache`] contents, canonical by construction) in one linear pass.
     /// Level-0 simplification and provenance bookkeeping are byte-identical to
     /// [`Solver::add_clause_safe`]; the canonical-form contract is checked by a debug
-    /// assertion, so a corrupted clause (e.g. a bit flip in a shared store) fails
+    /// assertion, so a corrupted clause (e.g. a bit flip in a cached clause) fails
     /// loudly in debug builds.
     ///
     /// Returns `false` when some clause makes the problem unsatisfiable at the root.
@@ -1668,103 +1667,6 @@ impl ClauseCache {
     }
 }
 
-/// A thread-safe store of program-consequence clauses shared *across requests*,
-/// keyed by the closure digest of each request's translation (see
-/// `Translation::digest`). Two requests with the same digest solve the identical
-/// formula — same variables, clauses, and linear constraints by construction — so the
-/// provenance-safe clauses one request learned hold verbatim in the other, and a
-/// session can warm-start repeated or re-issued requests from everything earlier ones
-/// proved. Entries are whole [`ClauseCache`]s (deduplicated, capped at
-/// [`ClauseCache::MAX_CLAUSES`] per key); access is a single `RwLock` around the map
-/// plus relaxed counters, so concurrent session requests (the batch path) share it
-/// freely.
-#[derive(Debug, Default)]
-pub struct SharedClauseStore {
-    shelves: RwLock<HashMap<u64, ClauseCache>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    transferred: AtomicU64,
-}
-
-impl SharedClauseStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        SharedClauseStore::default()
-    }
-
-    /// Copy the clauses stored under `key` into `cache` (the per-request warm-start
-    /// cache), returning how many were transferred. Counts a hit when the key has a
-    /// non-empty entry, a miss otherwise.
-    pub fn fetch_into(&self, key: u64, cache: &mut ClauseCache) -> usize {
-        let shelves = self.shelves.read().unwrap();
-        let transferred = match shelves.get(&key) {
-            Some(shelf) if !shelf.is_empty() => {
-                let before = cache.len();
-                if cache.is_empty() {
-                    // Usual case: a freshly reset request cache. Shelved clauses are
-                    // canonical by construction, so copy them raw rather than paying
-                    // `add`'s re-canonicalization per clause (it would also mask a
-                    // corrupted shelf entry that the trusted-load assertion in debug
-                    // builds is meant to catch).
-                    cache.clauses = shelf.clauses.clone();
-                    cache.seen = shelf.seen.clone();
-                } else {
-                    for clause in shelf.clauses().iter() {
-                        cache.add(clause);
-                    }
-                }
-                cache.len() - before
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return 0;
-            }
-        };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.transferred.fetch_add(transferred as u64, Ordering::Relaxed);
-        transferred
-    }
-
-    /// Merge a finished request's cache into the store under `key` (deduplicated
-    /// against what is already shelved, capped per key).
-    pub fn publish(&self, key: u64, cache: &ClauseCache) {
-        if cache.is_empty() {
-            return;
-        }
-        let mut shelves = self.shelves.write().unwrap();
-        let shelf = shelves.entry(key).or_default();
-        for clause in cache.clauses().iter() {
-            shelf.add(clause);
-        }
-    }
-
-    /// Number of fetches that found a non-empty entry for their key.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of fetches that found nothing for their key.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Total clauses copied out of the store into request caches.
-    pub fn transferred(&self) -> u64 {
-        self.transferred.load(Ordering::Relaxed)
-    }
-
-    /// Test-only corruption hook: shelve a raw clause under `key`, bypassing
-    /// [`ClauseCache::add`]'s canonicalization. Exists so mutation tests can prove
-    /// that a corrupted transferred clause is caught by the debug-mode
-    /// canonical-form assertion in [`Solver::load_trusted_clauses`]; never call it
-    /// from production code.
-    #[doc(hidden)]
-    pub fn inject_raw_for_tests(&self, key: u64, clause: Vec<Lit>) {
-        let mut shelves = self.shelves.write().unwrap();
-        shelves.entry(key).or_default().clauses.push(&clause);
-    }
-}
-
 /// A max-heap of variables ordered by activity, with lazy updates.
 struct VarHeap {
     heap: Vec<Var>,
@@ -2258,7 +2160,7 @@ mod tests {
     #[should_panic(expected = "canonical-form contract")]
     fn trusted_load_catches_corrupted_clause_in_debug() {
         // An unsorted (corrupted) clause must trip the debug validation assert —
-        // the backstop for bit flips in clauses transferred via a shared store.
+        // the backstop for bit flips in cached clauses replayed into a rebuild.
         let mut s = Solver::new(3, SatConfig::default());
         s.load_trusted_clauses([&[lit(3), lit(1)][..]], true);
     }
@@ -2309,44 +2211,6 @@ mod tests {
         cache.add(&[lit(1), lit(-1)]); // tautology: not canonical, must not be shelved
         cache.add(&[lit(1), lit(2)]);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn shared_store_transfers_and_counts() {
-        let store = SharedClauseStore::new();
-        let mut cache = ClauseCache::default();
-        cache.add(&[lit(1), lit(2)]);
-        cache.add(&[lit(-2), lit(3)]);
-        store.publish(7, &cache);
-        store.publish(7, &cache); // idempotent: deduplicated against the shelf
-
-        let mut warm = ClauseCache::default();
-        assert_eq!(store.fetch_into(7, &mut warm), 2);
-        assert_eq!(warm.len(), 2);
-        // Fetching into a warm cache deduplicates instead of double-counting.
-        assert_eq!(store.fetch_into(7, &mut warm), 0);
-        // An unknown key is a miss.
-        let mut other = ClauseCache::default();
-        assert_eq!(store.fetch_into(99, &mut other), 0);
-        assert!(other.is_empty());
-
-        assert_eq!(store.hits(), 2);
-        assert_eq!(store.misses(), 1);
-        assert_eq!(store.transferred(), 2);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "canonical-form contract")]
-    fn corrupted_store_clause_is_caught_on_trusted_load() {
-        // Mutation-style soundness check: corrupt a shelved clause behind the store's
-        // back; the fetch hands it through raw and the trusted-load assert fires.
-        let store = SharedClauseStore::new();
-        store.inject_raw_for_tests(1, vec![lit(2), lit(2), lit(1)]);
-        let mut warm = ClauseCache::default();
-        store.fetch_into(1, &mut warm);
-        let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses(warm.clauses().iter(), true);
     }
 
     #[test]

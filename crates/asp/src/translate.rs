@@ -38,42 +38,6 @@ impl Translation {
     pub fn atom_lit(a: AtomId) -> Lit {
         Lit::pos(a as Var)
     }
-
-    /// The closure digest: a hash of the entire clausal form (variable counts, every
-    /// clause, every linear constraint). Two requests with equal digests solve the
-    /// identical formula — atom and auxiliary variable ids included — so
-    /// provenance-safe clauses learned by one hold verbatim in the other. Keys the
-    /// cross-request [`crate::sat::SharedClauseStore`].
-    pub fn digest(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = crate::hasher::FxHasher::default();
-        h.write_usize(self.num_vars);
-        h.write_usize(self.num_atoms);
-        h.write_usize(self.clauses.len());
-        for clause in self.clauses.iter() {
-            h.write_usize(clause.len());
-            for l in clause {
-                h.write_u32(l.index() as u32);
-            }
-        }
-        h.write_usize(self.linears.len());
-        for lin in &self.linears {
-            match lin.condition {
-                None => h.write_u32(u32::MAX),
-                Some(c) => h.write_u32(c.index() as u32),
-            }
-            h.write_usize(lin.lits.len());
-            for l in &lin.lits {
-                h.write_u32(l.index() as u32);
-            }
-            for &w in &lin.weights {
-                h.write_u64(w);
-            }
-            h.write_u64(lin.lower);
-            h.write_u64(lin.upper);
-        }
-        h.finish()
-    }
 }
 
 /// Translate a ground program.
@@ -330,8 +294,7 @@ mod tests {
 
     #[test]
     fn digest_is_pinned() {
-        // Canonical clauses, their order and the linear constraints all feed the
-        // digest that keys the cross-request clause store; its value must not move
+        // The completion's variable, clause and linear-constraint counts must not move
         // with the clause storage layout.
         let program = parse_program(
             r#"
@@ -348,6 +311,5 @@ mod tests {
         let ground = Grounder::new(&mut symbols).ground(&program, &[]).unwrap();
         let t = translate(&ground);
         assert_eq!((t.num_vars, t.clauses.len(), t.linears.len()), (20, 41, 1));
-        assert_eq!(t.digest(), 16851828285008809353);
     }
 }

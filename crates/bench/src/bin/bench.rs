@@ -238,7 +238,7 @@ impl MixAggregate {
 /// Render the observable result of a request — DAG identity, objective vector,
 /// reuse/build partition, or the full diagnostics — for the byte-equality
 /// cross-check of the `base_update` group (the same shape
-/// `tests/nogood_store_cross_check.rs` pins under proptest).
+/// `tests/session_cross_check.rs` pins under proptest).
 fn render_outcome(result: &Result<spack_concretizer::Concretization, ConcretizeError>) -> String {
     match result {
         Ok(c) => {

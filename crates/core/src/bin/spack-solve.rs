@@ -330,7 +330,7 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
-    println!("            warm clauses {}, transferred {}", s.warm_clauses, s.transferred_clauses);
+    println!("            warm clauses {}", s.warm_clauses);
 }
 
 struct BatchOptions {
@@ -563,10 +563,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         eprintln!(
             "  base grounds: {} (must be 1), requests served: {}",
             s.base_grounds, s.requests
-        );
-        eprintln!(
-            "  nogood store: {} hits, {} misses, {} clauses transferred",
-            s.store_hits, s.store_misses, s.store_transferred
         );
     }
     match outcome.exit_code() {

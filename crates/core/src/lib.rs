@@ -353,7 +353,7 @@ impl<'a> Concretizer<'a> {
 
     /// Configure every option at once from a [`SolveOptions`] value — the site
     /// model, the optional reuse database, and the full solver configuration
-    /// (budget, nogood store, seed).
+    /// (budget, seed).
     pub fn with_options(mut self, options: SolveOptions<'a>) -> Self {
         self.site = options.site;
         self.database = options.database;

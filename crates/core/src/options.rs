@@ -9,7 +9,7 @@
 //! use spack_repo::builtin_repo;
 //!
 //! let repo = builtin_repo();
-//! let options = SolveOptions::new().site(SiteConfig::minimal()).nogood_store(false);
+//! let options = SolveOptions::new().site(SiteConfig::minimal()).seed(7);
 //! let result = Concretizer::new(&repo).with_options(options).concretize_str("zlib");
 //! assert!(result.is_ok());
 //! ```
@@ -20,7 +20,7 @@
 //! neither of which can cross a socket. Its serialized counterpart is
 //! [`crate::server::wire::RequestOptions`]: the site is named by preset
 //! (`"quartz"`, `"lassen"`, `"minimal"`), the database by the `reuse` flag, and the
-//! solver knobs (budget, nogood store, seed) travel as plain JSON
+//! solver knobs (budget, seed) travel as plain JSON
 //! fields. [`crate::server::wire::RequestOptions::apply`] folds a parsed wire value
 //! onto a base `SolverConfig`, which is exactly what the server does per request.
 
@@ -31,7 +31,7 @@ use crate::SiteConfig;
 
 /// Every option of a concretization, in one place: the site model, the optional
 /// installed-package database for reuse, and the solver configuration (preset,
-/// seed, nogood sharing, solve budget).
+/// seed, solve budget).
 ///
 /// `Default` is the same configuration [`Concretizer::new`] starts from: the
 /// Quartz-like site, no reuse, default solver. Construct with struct syntax or
@@ -46,8 +46,7 @@ pub struct SolveOptions<'a> {
     pub site: SiteConfig,
     /// The installed-package database / buildcache to reuse from, when any.
     pub database: Option<&'a Database>,
-    /// The solver configuration, including the per-solve budget and the session
-    /// nogood-store switch.
+    /// The solver configuration, including the per-solve budget.
     pub solver: SolverConfig,
 }
 
@@ -69,7 +68,7 @@ impl<'a> SolveOptions<'a> {
         self
     }
 
-    /// Use a specific solver configuration wholesale (preset, strategy, seed, ...).
+    /// Use a specific solver configuration wholesale (preset, seed, budget, ...).
     pub fn solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
         self
@@ -79,13 +78,6 @@ impl<'a> SolveOptions<'a> {
     /// limit). An unbounded budget clears any previous one.
     pub fn budget(mut self, budget: SolveBudget) -> Self {
         self.solver.budget = budget.is_bounded().then_some(budget);
-        self
-    }
-
-    /// Enable or disable the session's cross-request nogood store (default on).
-    /// Results are byte-identical either way.
-    pub fn nogood_store(mut self, enabled: bool) -> Self {
-        self.solver.share_nogoods = enabled;
         self
     }
 
@@ -112,11 +104,9 @@ mod tests {
     fn setters_compose() {
         let options = SolveOptions::new()
             .site(SiteConfig::lassen())
-            .nogood_store(false)
             .seed(7)
             .budget(SolveBudget { wall_deadline: None, conflict_limit: Some(100) });
         assert_eq!(options.site.target_family, "ppc64le");
-        assert!(!options.solver.share_nogoods);
         assert_eq!(options.solver.seed, 7);
         assert_eq!(options.solver.budget.unwrap().conflict_limit, Some(100));
     }

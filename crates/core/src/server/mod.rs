@@ -12,13 +12,15 @@
 //!   combination, i.e. by the [`BaseFacts`](crate::BaseFacts) digest that pair
 //!   produces: one lazily-built [`ConcretizerSession`] per distinct base problem,
 //!   frozen once and shared by every request that hits it. The `stats` request
-//!   reports per-shard session stats (base grounds, ground reuse, nogood-store
-//!   hits) so the "base ground exactly once per digest" invariant is observable
-//!   over the wire.
+//!   reports per-shard session stats (base grounds, ground reuse, base patches)
+//!   so the "base ground exactly once per digest" invariant is observable over
+//!   the wire.
 //! * **Admission queue + worker pool** — requests are parsed on the transport
 //!   thread and pushed into a bounded queue (backpressure: admission blocks when
 //!   the queue is full, which on a socket leaves bytes unread and pushes back on
 //!   the client); a fixed pool of workers executes them on the shard sessions.
+//!   A line over [`MAX_LINE_BYTES`] or not valid UTF-8 gets a `parse` response,
+//!   and reading goes on with the next line.
 //! * **Out-of-order streaming** — each worker writes its response line as soon as
 //!   its job resolves, tagged by the request's id; a slow solve never blocks a
 //!   fast one behind it.
@@ -43,7 +45,7 @@
 pub mod wire;
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -124,12 +126,6 @@ pub struct ShardStats {
     pub base_grounds: u64,
     /// Frozen ground instances shared by every request on this shard.
     pub frozen_instances: usize,
-    /// Cross-request nogood-store hits.
-    pub store_hits: u64,
-    /// Cross-request nogood-store misses.
-    pub store_misses: u64,
-    /// Clauses transferred between requests through the store.
-    pub store_transferred: u64,
     /// Base deltas this shard absorbed in place (across session generations).
     pub patches: u64,
     /// Times this shard's session was rebuilt from scratch by an update.
@@ -372,9 +368,6 @@ impl<'a> Shards<'a> {
                     requests: s.requests,
                     base_grounds: s.base_grounds,
                     frozen_instances: s.frozen_instances,
-                    store_hits: s.store_hits,
-                    store_misses: s.store_misses,
-                    store_transferred: s.store_transferred,
                     patches: shard.patches.load(Ordering::SeqCst),
                     refreezes: shard.refreezes.load(Ordering::SeqCst),
                     evictions: shard.evictions.load(Ordering::SeqCst),
@@ -420,8 +413,8 @@ fn emit<W: Write>(sink: &Mutex<W>, line: &str) {
 }
 
 /// Execute one solve request on its shard: parse the specs, route by
-/// `(site, reuse)`, apply the per-request wire options (budget, nogood store,
-/// seed) on the session's forked control, and classify the result.
+/// `(site, reuse)`, apply the per-request wire options (budget, seed) on the
+/// session's forked control, and classify the result.
 fn execute(
     shards: &Shards<'_>,
     config: &ServerConfig,
@@ -527,15 +520,62 @@ fn snapshot(shards: &Shards<'_>, config: &ServerConfig, counters: &Counters) -> 
     }
 }
 
-/// Parse one request line and either enqueue it or answer it directly.
-/// Returns `Some(id)` when the line was a `shutdown` request.
+/// Longest request line the server reads, in bytes without its newline. A longer
+/// line is answered with a `parse` response and skipped up to its newline, so no
+/// client can make the server buffer an unbounded line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next line of `input` into `buf` and return it trimmed, or the message
+/// of its `parse` response when it is longer than [`MAX_LINE_BYTES`] or not UTF-8.
+/// `None` at end of input or on a read error.
+fn read_request_line<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> Option<Result<&'b str, String>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf).ok()? == 0 {
+        return None;
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        // Discard the rest of the line without buffering it. A read error here
+        // surfaces again, as `None`, on the next call.
+        while let Ok(chunk) = input.fill_buf() {
+            let (n, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), chunk.is_empty()),
+            };
+            input.consume(n);
+            if done {
+                break;
+            }
+        }
+        return Some(Err(format!("request line is longer than {MAX_LINE_BYTES} bytes")));
+    }
+    Some(
+        std::str::from_utf8(buf)
+            .map(str::trim)
+            .map_err(|_| "request line is not valid UTF-8".to_string()),
+    )
+}
+
+/// Parse one request line (as [`read_request_line`] returns it) and either enqueue
+/// it or answer it directly. Returns `Some(id)` when the line was a `shutdown`
+/// request.
 fn admit_line<W: Write + Send>(
-    line: &str,
+    line: Result<&str, String>,
     tx: &mpsc::SyncSender<Job<W>>,
     sink: &Arc<Mutex<W>>,
     counters: &Counters,
 ) -> Option<String> {
-    match wire::parse_request(line) {
+    let request = match line {
+        Ok("") => return None, // blank lines get no answer
+        Ok(line) => wire::parse_request(line),
+        Err(message) => Err(message),
+    };
+    match request {
         // A malformed line is answered immediately with a parse-status response;
         // the connection stays up and later lines are processed normally.
         Err(message) => {
@@ -575,7 +615,7 @@ pub fn serve_pipe<R, W>(
     repo: &Repository,
     cache: Option<&Database>,
     config: &ServerConfig,
-    input: R,
+    mut input: R,
     output: W,
 ) -> ServerStats
 where
@@ -600,12 +640,8 @@ where
             let counters = &counters;
             scope.spawn(move || worker_loop(rx, shards, config, counters));
         }
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        let mut buf = Vec::new();
+        while let Some(line) = read_request_line(&mut input, &mut buf) {
             if let Some(id) = admit_line(line, &tx, &sink, &counters) {
                 shutdown_id = Some(id);
                 break;
@@ -665,14 +701,11 @@ pub fn serve_socket(
                     scope.spawn(move || {
                         let Ok(read_half) = stream.try_clone() else { return };
                         let sink = Arc::new(Mutex::new(stream));
-                        for line in BufReader::new(read_half).lines() {
+                        let mut input = BufReader::new(read_half);
+                        let mut buf = Vec::new();
+                        while let Some(line) = read_request_line(&mut input, &mut buf) {
                             if shutdown.load(Ordering::SeqCst) {
                                 break;
-                            }
-                            let Ok(line) = line else { break };
-                            let line = line.trim();
-                            if line.is_empty() {
-                                continue;
                             }
                             if let Some(id) = admit_line(line, &tx, &sink, counters) {
                                 // Socket mode acknowledges before the drain (the

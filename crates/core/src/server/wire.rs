@@ -340,9 +340,6 @@ pub struct RequestOptions {
     pub deadline_ms: Option<u64>,
     /// Conflict limit of the solve budget.
     pub conflict_limit: Option<u64>,
-    /// Attach the shard's cross-request nogood store to this request (default on);
-    /// results are byte-identical either way.
-    pub nogood_store: Option<bool>,
     /// Solver seed for randomized tie-breaking.
     pub seed: Option<u64>,
     /// Budget-exhaustion retries (diversified seed, doubled budget per attempt).
@@ -363,9 +360,6 @@ impl RequestOptions {
         }
         if let Some(v) = json.get("conflict_limit") {
             options.conflict_limit = Some(v.as_u64().ok_or("'conflict_limit' must be an integer")?);
-        }
-        if let Some(v) = json.get("nogood_store") {
-            options.nogood_store = Some(v.as_bool().ok_or("'nogood_store' must be a boolean")?);
         }
         if let Some(v) = json.get("seed") {
             options.seed = Some(v.as_u64().ok_or("'seed' must be an integer")?);
@@ -398,9 +392,6 @@ impl RequestOptions {
         if let Some(n) = self.conflict_limit {
             fields.push(format!("\"conflict_limit\": {n}"));
         }
-        if let Some(on) = self.nogood_store {
-            fields.push(format!("\"nogood_store\": {on}"));
-        }
         if let Some(seed) = self.seed {
             fields.push(format!("\"seed\": {seed}"));
         }
@@ -424,9 +415,6 @@ impl RequestOptions {
     pub fn apply(&self, cfg: &mut SolverConfig) {
         if let Some(budget) = self.budget() {
             cfg.budget = Some(budget);
-        }
-        if let Some(on) = self.nogood_store {
-            cfg.share_nogoods = on;
         }
         if let Some(seed) = self.seed {
             cfg.seed = seed;
@@ -797,7 +785,6 @@ pub fn render_stats_response(id: &str, stats: &super::ServerStats) -> String {
             let mut entry = format!(
                 "{{\"site\": \"{}\", \"reuse\": {}, \"digest\": \"{:016x}\", \
                  \"requests\": {}, \"base_grounds\": {}, \"frozen_instances\": {}, \
-                 \"store_hits\": {}, \"store_misses\": {}, \"store_transferred\": {}, \
                  \"patches\": {}, \"refreezes\": {}, \"evictions\": {}",
                 json_escape(&s.site),
                 s.reuse,
@@ -805,9 +792,6 @@ pub fn render_stats_response(id: &str, stats: &super::ServerStats) -> String {
                 s.requests,
                 s.base_grounds,
                 s.frozen_instances,
-                s.store_hits,
-                s.store_misses,
-                s.store_transferred,
                 s.patches,
                 s.refreezes,
                 s.evictions,
@@ -902,7 +886,6 @@ mod tests {
             reuse: Some(true),
             deadline_ms: Some(250),
             conflict_limit: Some(1000),
-            nogood_store: Some(false),
             seed: Some(u64::MAX),
             retries: Some(2),
         };
@@ -914,7 +897,6 @@ mod tests {
 
         let mut cfg = SolverConfig::default();
         options.apply(&mut cfg);
-        assert!(!cfg.share_nogoods);
         assert_eq!(cfg.seed, u64::MAX);
         let budget = cfg.budget.unwrap();
         assert_eq!(budget.wall_deadline, Some(std::time::Duration::from_millis(250)));
@@ -924,18 +906,15 @@ mod tests {
         RequestOptions::default().apply(&mut cfg);
         let base = SolverConfig::default();
         assert_eq!(cfg.seed, base.seed);
-        assert_eq!(cfg.share_nogoods, base.share_nogoods);
         assert!(cfg.budget.is_none());
     }
 
     #[test]
     fn removed_portfolio_field_is_ignored_as_unknown() {
         // Clients written against older servers may still send the removed
-        // `portfolio` option: it must parse like any unknown field and leave the
-        // response byte-identical to the same request without it.
-        let with = r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal", "portfolio": 4}}"#;
+        // `portfolio` and `nogood_store` options: each must parse like any unknown
+        // field and leave the response byte-identical to the same request without it.
         let without = r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal"}}"#;
-        assert_eq!(parse_request(with).unwrap(), parse_request(without).unwrap());
         let repo = spack_repo::builtin_repo();
         let serve = |line: &str| {
             let mut out: Vec<u8> = Vec::new();
@@ -943,9 +922,15 @@ mod tests {
             crate::server::serve_pipe(&repo, None, &config, line.as_bytes(), &mut out);
             String::from_utf8(out).expect("utf8 responses")
         };
-        let response = serve(with);
-        assert_eq!(SolveResponse::parse(response.trim()).unwrap().status, SolveStatus::Ok);
-        assert_eq!(response, serve(without));
+        let expected = serve(without);
+        assert_eq!(SolveResponse::parse(expected.trim()).unwrap().status, SolveStatus::Ok);
+        for with in [
+            r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal", "portfolio": 4}}"#,
+            r#"{"v": 1, "id": "p", "specs": ["zlib"], "options": {"site": "minimal", "nogood_store": false}}"#,
+        ] {
+            assert_eq!(parse_request(with).unwrap(), parse_request(without).unwrap());
+            assert_eq!(serve(with), expected, "{with}");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! (sharding and an async front end ride on top of it — see the ROADMAP).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -161,13 +160,13 @@ pub struct SessionStats {
     pub base_atoms: usize,
     /// Frozen ground instances available for verbatim reuse by every request.
     pub frozen_instances: usize,
-    /// Cross-request nogood store lookups that found a shelf for the request's
-    /// closure digest (zero when the store is disabled).
+    /// Always zero: sessions share no clauses across requests. Kept, with
+    /// `store_misses` and `store_transferred`, only because the repository benchmark
+    /// (`perfbench/src/main.rs`) still reads them.
     pub store_hits: u64,
-    /// Cross-request nogood store lookups that found nothing (first request per
-    /// distinct closure digest).
+    /// Always zero; see `store_hits`.
     pub store_misses: u64,
-    /// Provenance-safe clauses transferred between requests through the store.
+    /// Always zero; see `store_hits`.
     pub store_transferred: u64,
 }
 
@@ -188,12 +187,6 @@ pub struct ConcretizerSession<'a> {
     /// nonzero value is a regression — it feeds [`SessionStats::base_grounds`], which
     /// tests assert equals exactly 1.
     full_regrounds: AtomicU64,
-    /// Cross-request nogood store ([`asp::SharedClauseStore`]): provenance-safe
-    /// clauses learned by one request are transferred to later requests with an
-    /// identical translation (same closure digest). `None` when disabled through
-    /// [`crate::SolveOptions::nogood_store`]. Results are byte-identical either
-    /// way — the store only changes how fast they are found.
-    store: Option<Arc<asp::SharedClauseStore>>,
 }
 
 impl<'a> ConcretizerSession<'a> {
@@ -207,10 +200,9 @@ impl<'a> ConcretizerSession<'a> {
     /// frozen one by [`asp::FrozenControl::patch_base`]: pure additions continue the
     /// semi-naive phase-1 fixpoint from the new facts only, removals rebuild the
     /// closure id-exactly while reusing every unaffected frozen instance. The base
-    /// digest is recomputed from the new stream, so digest-keyed caches (the
-    /// cross-request nogood shelves) miss naturally instead of serving stale entries.
-    /// Results after a patch are byte-identical to a fresh session of the post-delta
-    /// universe (proptest-pinned).
+    /// digest is recomputed from the new stream, so digest-keyed caches miss
+    /// naturally instead of serving stale entries. Results after a patch are
+    /// byte-identical to a fresh session of the post-delta universe (proptest-pinned).
     ///
     /// Requires `&mut self`: a patch never races in-flight requests. On error the
     /// session may hold a partially patched base and must be discarded and re-frozen
@@ -258,7 +250,6 @@ impl<'a> Concretizer<'a> {
         ctl.add_program(CONCRETIZE_LP)?;
         ctl.add_program(ERROR_GUARD_LP)?;
         let frozen = ctl.freeze_base_partitioned(&base.partition_symbols())?;
-        let store = self.solver.share_nogoods.then(|| Arc::new(asp::SharedClauseStore::new()));
         Ok(ConcretizerSession {
             repo: self.repo,
             frozen,
@@ -267,7 +258,6 @@ impl<'a> Concretizer<'a> {
             requests: AtomicU64::new(0),
             base_patches: 0,
             full_regrounds: AtomicU64::new(0),
-            store,
         })
     }
 }
@@ -317,15 +307,6 @@ impl ConcretizerSession<'_> {
         let setup_start = Instant::now();
         let mut ctl = self.frozen.request();
         tune(ctl.solver_config_mut());
-        // A per-request `share_nogoods = false` (e.g. from the server's wire
-        // options) opts this request out of the session store entirely: it
-        // neither imports nor contributes clauses. Results are identical either
-        // way; only the store counters differ.
-        if ctl.solver_config_mut().share_nogoods {
-            if let Some(store) = &self.store {
-                ctl.set_shared_store(Arc::clone(store));
-            }
-        }
         let setup_info = self.base.request(self.repo, &mut ctl, roots)?;
         // Relevance restriction: this request's view of the frozen base drops every
         // package outside its dependency closure (and those packages' condition-id
@@ -397,9 +378,9 @@ impl ConcretizerSession<'_> {
             base_ground: ground.duration,
             base_atoms: ground.atoms,
             frozen_instances: self.frozen.frozen_instances(),
-            store_hits: self.store.as_ref().map_or(0, |s| s.hits()),
-            store_misses: self.store.as_ref().map_or(0, |s| s.misses()),
-            store_transferred: self.store.as_ref().map_or(0, |s| s.transferred()),
+            store_hits: 0,
+            store_misses: 0,
+            store_transferred: 0,
         }
     }
 }

@@ -7,7 +7,7 @@ use std::io::Cursor;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use spack_concretizer::server::{serve_pipe, wire, ServerConfig};
+use spack_concretizer::server::{serve_pipe, wire, ServerConfig, MAX_LINE_BYTES};
 use spack_repo::builtin_repo;
 use spack_store::{synthesize_buildcache, BuildcacheConfig};
 
@@ -16,7 +16,7 @@ use spack_store::{synthesize_buildcache, BuildcacheConfig};
 fn serve(
     cache: bool,
     config: &ServerConfig,
-    input: &str,
+    input: impl AsRef<[u8]>,
 ) -> (Vec<String>, spack_concretizer::server::ServerStats) {
     let repo = builtin_repo();
     let db;
@@ -27,7 +27,7 @@ fn serve(
         None
     };
     let mut out: Vec<u8> = Vec::new();
-    let stats = serve_pipe(&repo, database, config, Cursor::new(input.to_string()), &mut out);
+    let stats = serve_pipe(&repo, database, config, Cursor::new(input.as_ref().to_vec()), &mut out);
     let text = String::from_utf8(out).expect("utf8 responses");
     (text.lines().map(|l| l.to_string()).collect(), stats)
 }
@@ -140,6 +140,45 @@ fn malformed_requests_get_parse_responses_and_the_stream_survives() {
     assert_eq!(good.id, "good");
     assert_eq!(good.status, wire::SolveStatus::Ok, "the stream must survive bad lines");
     assert_eq!(stats.jobs_received, 1, "only the well-formed solve is admitted");
+}
+
+#[test]
+fn oversize_line_gets_a_parse_response_and_the_stream_survives() {
+    // A request padded to exactly the cap is read; one byte more and the line is
+    // answered with a parse response and skipped up to its newline, and the
+    // request after it is still answered.
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let padded =
+        |request: &str, len: usize| format!("{request}{}\n", " ".repeat(len - request.len()));
+    let at_cap = padded("{\"v\": 1, \"id\": \"edge\", \"specs\": [\"zlib\"]}", MAX_LINE_BYTES);
+    let oversize = padded("{\"v\": 1, \"id\": \"big\", \"specs\": [\"zlib\"]}", MAX_LINE_BYTES + 1);
+    let good = "{\"v\": 1, \"id\": \"good\", \"specs\": [\"zlib\"]}\n";
+    let (lines, stats) = serve(false, &config, at_cap + &oversize + good);
+    assert_eq!(lines.len(), 3, "every line gets an answer: {lines:?}");
+    let responses: Vec<wire::SolveResponse> = lines.iter().map(|l| response(l)).collect();
+    let status = |id: &str| responses.iter().find(|r| r.id == id).map(|r| r.status);
+    assert_eq!(status("edge"), Some(wire::SolveStatus::Ok), "a line at the cap is read");
+    assert_eq!(status("good"), Some(wire::SolveStatus::Ok), "the stream must survive");
+    let rejected = responses.iter().find(|r| r.id.is_empty()).expect("a parse response");
+    assert_eq!(rejected.status, wire::SolveStatus::Parse);
+    assert!(rejected.message.as_deref().unwrap_or("").contains("longer than"), "{rejected:?}");
+    assert_eq!(stats.jobs_received, 2, "the oversize line is never admitted");
+}
+
+#[test]
+fn invalid_utf8_line_gets_a_parse_response_and_the_stream_survives() {
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let mut input = b"{\"v\": 1, \"id\": \"bad\", \"specs\": [\"zl\xffib\"]}\n".to_vec();
+    input.extend_from_slice(b"{\"v\": 1, \"id\": \"good\", \"specs\": [\"zlib\"]}\n");
+    let (lines, stats) = serve(false, &config, input);
+    assert_eq!(lines.len(), 2, "every line gets an answer: {lines:?}");
+    let rejected = response(&lines[0]);
+    assert_eq!(rejected.status, wire::SolveStatus::Parse, "{}", lines[0]);
+    assert!(rejected.message.as_deref().unwrap_or("").contains("UTF-8"), "{rejected:?}");
+    let good = response(&lines[1]);
+    assert_eq!(good.id, "good");
+    assert_eq!(good.status, wire::SolveStatus::Ok, "the stream must survive a non-UTF-8 line");
+    assert_eq!(stats.jobs_received, 1);
 }
 
 #[test]

@@ -142,20 +142,20 @@ fn check(spec: &str, database: Option<&Database>, path: Path, end: End) {
 #[test]
 fn paper_example_search_path() {
     let end = End::Model(585, 9354937506538270961, vec![(100, 11)]);
-    check("example", None, path(6, 687, 43939, 5, 13, 10), end);
+    check("example", None, path(6, 685, 37134, 5, 12, 10), end);
 }
 
 #[test]
 fn hdf5_search_path() {
     let end = End::Model(724, 16581126924713461641, vec![(100, 16)]);
-    check("hdf5", None, path(9, 1072, 49939, 8, 12, 9), end);
+    check("hdf5", None, path(6, 1066, 40032, 5, 11, 9), end);
 }
 
 #[test]
 fn mpileaks_with_reuse_search_path() {
     let cache = synthesize_buildcache(&builtin_repo(), &BuildcacheConfig::default());
     let end = End::Model(3227, 13774801703720370102, vec![(1, 52)]);
-    check("mpileaks", Some(&cache), path(21, 1225, 124189, 20, 12, 9), end);
+    check("mpileaks", Some(&cache), path(17, 914, 107469, 16, 11, 9), end);
 }
 
 #[test]
@@ -188,10 +188,10 @@ fn unsat_diagnostics_search_path() {
 }
 
 #[test]
-fn session_store_transfer_search_path() {
-    // Two identical requests on one session: the second warm-starts from the clauses
-    // the first shelved in the cross-request store, so its path covers the store's
-    // fetch and the trusted replay of transferred clauses.
+fn session_repeat_search_path() {
+    // Two identical requests on one session: each solves on a clause cache that starts
+    // empty and nothing crosses from one request to the next, so both take the same
+    // search path, bit for bit.
     let repo = builtin_repo();
     let concretizer =
         Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
@@ -200,8 +200,8 @@ fn session_store_transfer_search_path() {
     let first = session.concretize(&roots).unwrap();
     let second = session.concretize(&roots).unwrap();
     assert_eq!(first.spec, second.spec);
-    assert_eq!(Path::of(&first.stats), path(42, 768, 101160, 40, 11, 5));
-    assert_eq!(Path::of(&second.stats), path(21, 1402, 105545, 19, 11, 5));
-    let warm = (second.stats.transferred_clauses, second.stats.warm_clauses);
-    assert_eq!(warm, (5, 5), "transferred and replayed clauses");
+    assert_eq!(Path::of(&first.stats), path(41, 731, 86821, 39, 10, 5));
+    assert_eq!(Path::of(&second.stats), Path::of(&first.stats));
+    let warm = (first.stats.warm_clauses, second.stats.warm_clauses);
+    assert_eq!(warm, (0, 0), "no request starts on a warm clause cache");
 }

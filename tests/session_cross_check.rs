@@ -7,8 +7,10 @@
 //! contract that the two are *observationally identical*: same DAG (rendered), same
 //! reuse/build partition, same objective vector, and — for unsatisfiable requests —
 //! the same diagnostics, over randomized synthetic repositories shaped like the
-//! bench's `Medium` and `Wide` tiers, with SAT and UNSAT requests interleaved on one
-//! session and batch mode cross-checked against both.
+//! bench's `Medium` and `Wide` tiers and across solver seeds, with SAT and UNSAT
+//! requests interleaved on one session and batch mode cross-checked against both.
+//! A threaded stress test hammers one session from several OS threads against a
+//! one-shot oracle under a watchdog timeout.
 
 use proptest::prelude::*;
 
@@ -59,17 +61,18 @@ fn requests_for(repo: &spack_repo::Repository, picks: &[usize]) -> Vec<String> {
     specs
 }
 
-/// Session-mode, batch-mode, and one-shot solves must be observationally identical,
-/// including interleaved SAT and UNSAT requests on one long-lived session.
-fn assert_session_matches_one_shot(repo: &spack_repo::Repository, specs: &[String]) {
-    let concretizer =
-        Concretizer::new(repo).with_options(SolveOptions::new().site(SiteConfig::minimal()));
+/// Session-mode, batch-mode, and one-shot solves with solver seed `seed` must be
+/// observationally identical, including interleaved SAT and UNSAT requests on one
+/// long-lived session.
+fn assert_session_matches_one_shot(repo: &spack_repo::Repository, seed: u64, specs: &[String]) {
+    let concretizer = Concretizer::new(repo)
+        .with_options(SolveOptions::new().site(SiteConfig::minimal()).seed(seed));
     let session = concretizer.session().expect("session build");
     // Interleaved sequential requests on ONE session.
     for spec in specs {
         let one = render(&concretizer.concretize_str(spec));
         let ses = render(&session.concretize_str(spec));
-        assert_eq!(one, ses, "spec `{spec}`: session result differs from one-shot");
+        assert_eq!(one, ses, "spec `{spec}` (seed {seed}): session result differs from one-shot");
     }
     // Batch mode on the same session, cross-checked against the one-shot renderings.
     let parsed: Vec<Vec<spack_spec::Spec>> =
@@ -104,7 +107,7 @@ proptest! {
             ..Default::default()
         });
         let specs = requests_for(&repo, &picks);
-        assert_session_matches_one_shot(&repo, &specs);
+        assert_session_matches_one_shot(&repo, 0, &specs);
     }
 }
 
@@ -126,7 +129,53 @@ proptest! {
             ..Default::default()
         });
         let specs = requests_for(&repo, &picks);
-        assert_session_matches_one_shot(&repo, &specs);
+        assert_session_matches_one_shot(&repo, 0, &specs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Medium-shaped synthetic repositories across solver seeds: the seed steers the
+    /// search, and session results must still be byte-identical to one-shot.
+    #[test]
+    fn session_matches_oneshot_across_seeds_on_medium_shaped_repos(
+        repo_seed in 0u64..200,
+        solver_seed in 0u64..8,
+        picks in proptest::collection::vec(0usize..50, 3..6),
+    ) {
+        let repo = synth_repo(&SynthConfig {
+            packages: 48,
+            chain_depth: 10,
+            extra_virtuals: 2,
+            seed: repo_seed,
+            ..Default::default()
+        });
+        let specs = requests_for(&repo, &picks);
+        assert_session_matches_one_shot(&repo, solver_seed, &specs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Wide-shaped synthetic repositories across solver seeds: session results are
+    /// byte-identical to one-shot.
+    #[test]
+    fn session_matches_oneshot_across_seeds_on_wide_shaped_repos(
+        repo_seed in 0u64..200,
+        solver_seed in 0u64..8,
+        picks in proptest::collection::vec(0usize..50, 3..6),
+    ) {
+        let repo = synth_repo(&SynthConfig {
+            packages: 40,
+            max_deps: 8,
+            mpi_fraction: 0.6,
+            seed: repo_seed,
+            ..Default::default()
+        });
+        let specs = requests_for(&repo, &picks);
+        assert_session_matches_one_shot(&repo, solver_seed, &specs);
     }
 }
 
@@ -192,4 +241,52 @@ fn session_grounds_base_once_across_many_requests() {
     let stats = session.stats();
     assert_eq!(stats.base_grounds, 1);
     assert_eq!(stats.requests, specs.len() as u64);
+}
+
+/// Threaded stress: several OS threads hammer one session with a mixed SAT/UNSAT
+/// request stream; every result must equal the one-shot oracle, with no panic or
+/// deadlock. A watchdog thread bounds the test — a deadlock fails loudly instead of
+/// hanging the suite.
+#[test]
+fn threaded_stress_matches_serial_oracle() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 3;
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        let repo = builtin_repo();
+        let oneshot =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
+        let specs = ["zlib", "hdf5", "zlib@9.9", "mpileaks", "example", "netcdf-c ^hdf5~mpi"];
+        let oracle: Vec<String> =
+            specs.iter().map(|s| render(&oneshot.concretize_str(s))).collect();
+        let session = oneshot.session().expect("session build");
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (session, specs, oracle) = (&session, &specs, &oracle);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        for (i, spec) in specs.iter().enumerate() {
+                            let got = render(&session.concretize_str(spec));
+                            assert_eq!(
+                                got, oracle[i],
+                                "thread {t} round {round} spec `{spec}`: differs from oracle"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        tx.send(()).ok();
+    });
+    // Generous: the stress solves THREADS * ROUNDS * 6 full requests on one core in
+    // the worst scheduling; well under a minute in practice.
+    match rx.recv_timeout(std::time::Duration::from_secs(600)) {
+        Ok(()) => {}
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("threaded stress timed out — possible deadlock in the session path")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("a stress thread panicked; see the assertion output above")
+        }
+    }
 }
