@@ -464,10 +464,6 @@ pub struct Stats {
     pub learned: u64,
     /// Total learned clauses deleted again by the reduction policy.
     pub deleted: u64,
-    /// Clauses replayed from the session clause cache (loop nogoods + provenance-safe
-    /// learned clauses of earlier solves on this grounding) into the most recent
-    /// solve's solvers — the warm-start the cache provides.
-    pub warm_clauses: u64,
     /// Did the most recent solve end because its [`SolveBudget`] expired?
     pub budget_exhausted: bool,
 }
@@ -510,12 +506,6 @@ pub struct Control {
     /// Grounding a non-fork with a requested restriction is a usage error — silently
     /// returning unrestricted results would be worse than failing.
     restriction_requested: bool,
-    /// The session clause cache for the *current grounding*: loop nogoods and
-    /// provenance-safe learned clauses collected across every solve on this control,
-    /// replayed into each newly built solver so later solves (e.g. the relaxed
-    /// diagnostics re-solve after a failed hard solve) warm-start instead of
-    /// re-deriving program consequences. Invalidated by [`Control::ground`].
-    clause_cache: crate::sat::ClauseCache,
 }
 
 /// A program plus its base facts, ground once and frozen — the shared half of a
@@ -554,7 +544,6 @@ impl FrozenControl {
             restricted: crate::hasher::FxHashSet::default(),
             restricted_ints: Vec::new(),
             restriction_requested: false,
-            clause_cache: crate::sat::ClauseCache::default(),
         }
     }
 
@@ -641,7 +630,6 @@ impl Control {
             restricted: crate::hasher::FxHashSet::default(),
             restricted_ints: Vec::new(),
             restriction_requested: false,
-            clause_cache: crate::sat::ClauseCache::default(),
         }
     }
 
@@ -822,7 +810,6 @@ impl Control {
         self.ground = Some(ground);
         self.translation = Some(translation);
         self.retired_unsat = None; // built against the previous translation
-        self.clause_cache = crate::sat::ClauseCache::default(); // ditto
         Ok(())
     }
 
@@ -868,8 +855,8 @@ impl Control {
     /// neither optimized nor reported for this solve only. Together with `#external`
     /// guard atoms this makes one ground program serve differently-parameterized
     /// solves — e.g. the concretizer's diagnostics flip a `relax_mode` assumption and
-    /// raise the floor to optimize only the error levels, with no regrounding and no
-    /// solver rebuild between the phases.
+    /// raise the floor to optimize only the error levels, with no regrounding between
+    /// the phases.
     pub fn solve_with_assumptions_floor(
         &mut self,
         assumptions: &[Assumption],
@@ -915,8 +902,6 @@ impl Control {
                 None => {}
             }
         }
-        let mut cache = std::mem::take(&mut self.clause_cache);
-        self.stats.warm_clauses = cache.len() as u64;
         self.stats.budget_exhausted = false;
         let mut retired = None;
         // The guard owns the deadline monitor; dropping it (on every exit path from
@@ -930,11 +915,9 @@ impl Control {
             &fixed,
             priority_floor,
             &mut retired,
-            &mut cache,
             guard.as_ref().map(|g| &g.state),
         );
         drop(guard);
-        self.clause_cache = cache;
         let result = result?;
         self.stats.solve_time += start.elapsed();
         match result {
@@ -979,7 +962,7 @@ impl Control {
     /// are *necessary* and kept, the others are deleted. Each test is a plain stable-
     /// model probe (no optimization) consuming only the SAT/UNSAT verdict — a fact
     /// about the formula — so the minimized core is a deterministic function of the
-    /// input core, independent of warm starts from the clause cache.
+    /// input core, independent of what the probe solver learned on the way.
     /// Returns the minimized core (indices into `assumptions`) and the number of probe
     /// solves performed.
     ///
@@ -1022,18 +1005,11 @@ impl Control {
         // refuting the assumptions prune the probes too.
         let pinned_lits: Vec<Lit> =
             pinned.iter().filter_map(|a| self.assumption_lit(ground, a)).collect();
-        let mut cache = std::mem::take(&mut self.clause_cache);
         let mut probe = match retired {
             Some((solver, fixed)) if fixed == pinned_lits => {
                 StableProbe::from_solver(ground, solver)
             }
-            _ => StableProbe::new(
-                ground,
-                translation,
-                &self.config.sat_config(),
-                &pinned_lits,
-                &cache,
-            ),
+            _ => StableProbe::new(ground, translation, &self.config.sat_config(), &pinned_lits),
         };
         // The diagnostics probes honour the same per-solve budget as the solves: an
         // expired budget aborts the minimization (keeping the current core — still a
@@ -1057,15 +1033,15 @@ impl Control {
                 // were already singled out before a search-derived core existed.
             }
             rounds += 1;
-            match probe.check(ground, &trial_lits, &mut cache) {
+            match probe.check(ground, &trial_lits) {
                 ProbeVerdict::Unsat(_) => {
                     // Still unsat without member `i`: it is redundant — drop it and
                     // probe the next candidate at the same position. Only the UNSAT
                     // *verdict* is consumed, never the probe's own sub-core: a
                     // final-conflict core depends on the probe's learned-clause
-                    // trajectory (warm starts from the clause cache), while the
-                    // verdict is a fact about the formula — so the minimized core is
-                    // a deterministic function of the input core alone.
+                    // trajectory, while the verdict is a fact about the formula — so
+                    // the minimized core is a deterministic function of the input
+                    // core alone.
                     core.remove(i);
                 }
                 ProbeVerdict::Stable => i += 1, // member `i` is necessary
@@ -1079,8 +1055,6 @@ impl Control {
         }
         drop(guard);
         let probe_stats = probe.stats().clone();
-        probe.harvest_into(&mut cache);
-        self.clause_cache = cache;
         self.record_sat_stats(&probe_stats);
         self.stats.solve_time += start.elapsed();
         Ok((core, rounds))
@@ -1451,23 +1425,6 @@ mod tests {
         }
         // Unassumed, the guard stays free; both truth values admit stable models.
         assert_eq!(ctl.solve_models(8).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn clause_cache_warm_starts_later_solves() {
-        // a and b support each other; a is also supported through the free choice x.
-        // Solving under the assumption a must reject the unstable {a, b} candidate
-        // with a loop nogood; a second solve on the SAME control replays it from the
-        // session clause cache and must not examine unstable candidates again.
-        let mut ctl = Control::new(SolverConfig::default());
-        ctl.add_program("a :- b. b :- a. a :- x. { x }. #minimize{ 1@1 : x }.").unwrap();
-        ctl.ground().unwrap();
-        let a = [Assumption::holds("a", &[])];
-        assert!(matches!(ctl.solve_with_assumptions(&a).unwrap(), AssumeOutcome::Optimal { .. }));
-        assert!(ctl.stats().loop_nogoods > 0, "first solve must discover the loop nogood");
-        assert!(matches!(ctl.solve_with_assumptions(&a).unwrap(), AssumeOutcome::Optimal { .. }));
-        assert!(ctl.stats().warm_clauses > 0, "the cache must seed the second solve");
-        assert_eq!(ctl.stats().loop_nogoods, 0, "the replayed nogood must prevent re-derivation");
     }
 
     #[test]

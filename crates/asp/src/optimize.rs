@@ -7,24 +7,30 @@
 //! priority level (by adding a weighted-sum upper bound), level by level in decreasing
 //! priority, until the optimum is proved for every level.
 //!
+//! # One solver per solve
+//!
+//! Like clasp, the whole descent runs on one solver. A level's bound is a linear
+//! constraint under a fresh *guard* literal that each run assumes after the request's
+//! assumptions, so a refuted bound (a failed zero-probe, or the proof that a level is
+//! optimal) shows up as the guard in the failed-assumption set instead of poisoning the
+//! solver: the unit `¬guard` retires the bound, and every learned clause, loop nogood,
+//! saved phase and activity score carries on into the next run.
+//!
 //! # Determinism
 //!
-//! Every request solves once: the descent drives one serial solver at a time, and the
-//! only state it inherits is the clause cache of its own grounding, which starts empty
-//! when that grounding is made. Nothing is shared across requests, so the search is a
-//! fixed function of the translation, the solver configuration, the fixed externals,
-//! the assumptions and the earlier solves on the same cache. The returned **model** is
-//! the descent's last incumbent, the **cost vector** is its lexicographic optimum, and
-//! an **unsat core** is the failed-assumption set of the refuting solver. Equal inputs
-//! give byte-identical answers.
+//! Every solve starts from a fresh solver and shares nothing with other solves, so the
+//! search is a fixed function of the translation, the solver configuration, the fixed
+//! externals and the assumptions. The returned **model** is the descent's last
+//! incumbent, the **cost vector** is its lexicographic optimum, and an **unsat core**
+//! is the failed-assumption set of the initial run. Equal inputs give byte-identical
+//! answers.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::ground::GroundProgram;
 use crate::sat::{
-    ClauseArena, ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState,
-    Solver, Var,
+    LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState, Solver, Var,
 };
 use crate::stable::StabilityChecker;
 use crate::translate::Translation;
@@ -41,8 +47,6 @@ pub struct OptimalModel {
     pub models_examined: u64,
     /// Number of solver invocations.
     pub solver_runs: u64,
-    /// Total conflicts across all runs.
-    pub conflicts: u64,
     /// Loop nogoods added by the stable-model check.
     pub loop_nogoods: u64,
     /// Aggregated low-level solver statistics across all runs.
@@ -103,26 +107,12 @@ struct Level {
 /// Solve for the lexicographically optimal stable model.
 ///
 /// Returns `Ok(None)` when the program has no stable model at all.
-///
-/// # Warm starts
-///
-/// Within one priority level, branch-and-bound only ever *tightens* the objective
-/// bound, so a single solver instance is kept across all improving models of the
-/// level: every learned clause, loop nogood, saved phase, and activity score carries
-/// over, and each iteration merely adds one more linear bound. Only when a level is
-/// proved optimal (its last bound is UNSAT, poisoning the solver) is a fresh solver
-/// built for the next level — seeded with the frozen bounds of the finished levels,
-/// the session clause cache (which carries the retired solvers' provenance-safe
-/// learned clauses), the loop nogoods discovered so far, and the incumbent model's
-/// phases (so the search restarts in the neighbourhood of the best known
-/// assignment).
 pub fn solve_optimal(
     ground: &GroundProgram,
     translation: &Translation,
     config: &SatConfig,
 ) -> Result<Option<OptimalModel>, OptimizeError> {
     let mut retired = None;
-    let mut cache = ClauseCache::default();
     match solve_optimal_assuming(
         ground,
         translation,
@@ -131,7 +121,6 @@ pub fn solve_optimal(
         &[],
         i64::MIN,
         &mut retired,
-        &mut cache,
         None,
     )? {
         OptOutcome::Optimal(model) => Ok(Some(model)),
@@ -145,12 +134,11 @@ pub fn solve_optimal(
 /// carries the core of assumptions responsible (tracked through conflict analysis by
 /// [`Solver::search_with_assumptions`]).
 ///
-/// `fixed` literals are asserted as root-level unit clauses in every solver this
-/// solve builds — the realization of clingo's `assign_external`: an `#external`
-/// guard's per-solve truth propagates once at the root instead of being re-decided
-/// (and its consequences re-propagated) on every solver run of the optimization.
-/// Fixed literals never appear in unsat cores; solvers do not outlive the solve, so
-/// the units leak into nothing.
+/// `fixed` literals are asserted as root-level unit clauses in the solver — the
+/// realization of clingo's `assign_external`: an `#external` guard's per-solve truth
+/// propagates once at the root instead of being re-decided (and its consequences
+/// re-propagated) on every run of the optimization. Fixed literals never appear in
+/// unsat cores; the solver does not outlive the solve, so the units leak into nothing.
 ///
 /// `priority_floor` bounds the optimization effort: minimize levels with a priority
 /// *below* the floor are dropped entirely — neither optimized nor present in the
@@ -163,19 +151,14 @@ pub fn solve_optimal(
 /// and its learned clauses make it a warm probe for follow-up work such as
 /// deletion-based core minimization (see [`StableProbe::from_solver`]).
 ///
-/// `cache` is the session clause cache shared by every solve on this grounding: its
-/// clauses are replayed into each solver built here, and every loop nogood found (plus
-/// the provenance-safe learned clauses of each retiring solver) flows back into it.
+/// `budget` is an optional shared solve budget (see [`SolveBudgetState`]), installed
+/// into the solver, so an armed budget interrupts the solve within one solver check
+/// interval no matter which level it is on. An interrupted solve returns
+/// [`OptOutcome::Budget`], carrying the incumbent model when branch-and-bound had
+/// already proven one (graceful degradation).
 ///
-/// `budget` is an optional shared solve budget (see [`SolveBudgetState`]): it is
-/// installed into *every* solver this solve builds, so an armed budget interrupts the
-/// solve within one solver check interval no matter which level it is on. An
-/// interrupted solve returns [`OptOutcome::Budget`], carrying the incumbent model when
-/// branch-and-bound had already proven one (graceful degradation).
-///
-/// The returned model is the descent's last incumbent and the core is the refuting
-/// solver's failed-assumption set; no second solve re-derives either (see the module
-/// docs on determinism).
+/// The whole descent runs on one solver (see the module docs); the returned model is
+/// its last incumbent and the core is the initial run's failed-assumption set.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_optimal_assuming(
     ground: &GroundProgram,
@@ -185,7 +168,6 @@ pub fn solve_optimal_assuming(
     fixed: &[Lit],
     priority_floor: i64,
     retired: &mut Option<Solver>,
-    cache: &mut ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Result<OptOutcome, OptimizeError> {
     if ground.trivially_unsat {
@@ -194,73 +176,55 @@ pub fn solve_optimal_assuming(
     let levels: Vec<Level> =
         collect_levels(ground)?.into_iter().filter(|l| l.priority >= priority_floor).collect();
     let mut stats = RunStats::default();
-    // Loop nogoods discovered by the stability check are shared across solver runs.
-    let mut extra_clauses = ClauseArena::new();
     // One occurrence index serves every stability check of this solve.
-    let mut stability = Stability {
-        ground,
-        checker: StabilityChecker::new(ground),
-        debug: std::env::var("ASP_DEBUG").is_ok(),
-    };
+    let mut stability =
+        Stability { ground, checker: StabilityChecker::new(ground), vars: translation.num_vars };
 
-    // Initial model with no objective bounds. The solver stays live across levels: it
-    // is only discarded when a level's final (UNSAT) bound poisons it, and only
-    // rebuilt lazily when a later level actually needs another run — warm-started
-    // from the session clause cache, the loop nogoods found so far, and the
-    // incumbent's phases. Every objective literal starts phase-biased towards *false*
-    // (clasp's optimization sign heuristic), so even the first model lands near the
-    // cheap end of the search space and the per-level descents start close to the
-    // optimum.
-    let mut live =
-        Some(build_solver(translation, config, fixed, &[], &extra_clauses, cache, budget));
-    if let Some(solver) = live.as_mut() {
-        for level in &levels {
-            for &(l, _) in &level.lits {
-                solver.set_phase(l.var(), !l.is_pos());
-            }
+    let mut solver = build_solver(translation, config, fixed, budget);
+    // A level spends at most two guards: one on a failed zero-probe, one on its descent.
+    solver.reserve_vars(2 * levels.len());
+    // Every objective literal starts phase-biased towards *false* (clasp's optimization
+    // sign heuristic), so even the first model lands near the cheap end of the search
+    // space and the per-level descents start close to the optimum.
+    for level in &levels {
+        for &(l, _) in &level.lits {
+            solver.set_phase(l.var(), !l.is_pos());
         }
     }
-    let mut best = {
-        let solver = live.as_mut().expect("just built");
-        match run_stable(solver, &mut stability, &mut extra_clauses, assumptions, &mut stats, cache)
-        {
-            StableOutcome::Model(m) => m,
-            StableOutcome::Interrupted => {
-                // The budget expired before even one stable model was found: there
-                // is nothing to degrade to.
-                stats.sat.absorb(&solver.stats);
-                cache.harvest(solver);
-                return Ok(OptOutcome::Budget { partial: None, sat: stats.sat });
-            }
-            StableOutcome::Unsat => {
-                // The *unbounded* program is unsatisfiable under the assumptions: the
-                // failed-assumption set is a genuine unsat core (later UNSATs merely
-                // prove an objective bound optimal and carry no core).
-                stats.sat.absorb(&solver.stats);
-                cache.harvest(solver);
-                let core = solver.failed_assumptions().to_vec();
-                // Uninstall the budget so an adopter of the retired solver can never
-                // observe a stale interrupt.
-                solver.set_budget(None);
-                *retired = live.take();
-                return Ok(OptOutcome::Unsat { core, sat: stats.sat });
-            }
+    // The request's assumptions, followed by the live bound's guard during a descent.
+    let mut assumed = assumptions.to_vec();
+    let mut best = match run_stable(&mut solver, &mut stability, &assumed, &mut stats) {
+        StableOutcome::Model(m) => m,
+        StableOutcome::Interrupted => {
+            // The budget expired before even one stable model was found: there is
+            // nothing to degrade to.
+            stats.sat.absorb(&solver.stats);
+            return Ok(OptOutcome::Budget { partial: None, sat: stats.sat });
+        }
+        StableOutcome::Unsat => {
+            // The *unbounded* program is unsatisfiable under the assumptions: the
+            // failed-assumption set is a genuine unsat core (later UNSATs merely refute
+            // an objective bound and carry only its guard).
+            stats.sat.absorb(&solver.stats);
+            let core = solver.failed_assumptions().to_vec();
+            // Uninstall the budget so an adopter of the retired solver can never
+            // observe a stale interrupt.
+            solver.set_budget(None);
+            *retired = Some(solver);
+            return Ok(OptOutcome::Unsat { core, sat: stats.sat });
         }
     };
     let mut best_costs = level_costs(&levels, &best);
 
-    // Optimize level by level, highest priority first. `live_bounds[li]` is the index
-    // of level `li`'s objective bound inside the live solver (if added), so repeated
-    // descents tighten one constraint in place instead of stacking superseded copies.
-    let mut fixed_bounds: Vec<LinearSpec> = Vec::new();
-    let mut live_bounds: Vec<Option<usize>> = vec![None; levels.len()];
+    // Optimize level by level, highest priority first.
     for (li, level) in levels.iter().enumerate() {
+        // The level's live guarded bound, tightened in place by repeated descents.
+        let mut bound: Option<GuardedBound> = None;
         // First attempt per level is an *optimistic zero-probe*: most levels of a
         // lexicographic cascade optimize to zero, and proving "a zero-cost model
         // exists" in one run beats walking the bound down one unit per model. Only
-        // when the probe fails (UNSAT — which poisons the solver exactly like a
-        // final optimality proof would) does the level fall back to classic
-        // one-step descents from the incumbent.
+        // when the probe fails does the level fall back to classic one-step descents
+        // from the incumbent.
         let mut optimistic_failed = false;
         // The level's optimum is known to be strictly greater than this (a failed
         // probe is a lower-bound proof): reaching `proven_above + 1` is optimal
@@ -268,67 +232,20 @@ pub fn solve_optimal_assuming(
         let mut proven_above: i64 = -1;
         loop {
             let current = best_costs[li];
-            if stability.debug {
-                eprintln!(
-                    "[asp] level prio {} ({} lits): current cost {}",
-                    level.priority,
-                    level.lits.len(),
-                    current
-                );
-            }
             if current == proven_above + 1 {
                 break;
             }
-            let solver = match live.as_mut() {
-                Some(s) => s,
-                None => {
-                    // The previous run retired the solver (UNSAT bound). Rebuild with
-                    // every frozen bound, the clause cache (which now carries the
-                    // retired solver's provenance-safe learned clauses), and the
-                    // loop nogoods, warm-started from the incumbent's phases.
-                    let mut s = build_solver(
-                        translation,
-                        config,
-                        fixed,
-                        &fixed_bounds,
-                        &extra_clauses,
-                        cache,
-                        budget,
-                    );
-                    for (v, &val) in best.iter().enumerate() {
-                        s.set_phase(v as Var, val);
-                    }
-                    // The frozen non-zero bounds occupy the linear slots after the
-                    // translation's, in level order; zero bounds became root-level
-                    // unit clauses inside build_solver and need no slot.
-                    live_bounds = vec![None; levels.len()];
-                    let mut slot = translation.linears.len();
-                    for (lj, b) in fixed_bounds.iter().enumerate() {
-                        if b.upper == 0 {
-                            live_bounds[lj] = Some(ZERO_BOUND);
-                        } else {
-                            live_bounds[lj] = Some(slot);
-                            slot += 1;
-                        }
-                    }
-                    live.insert(s)
-                }
-            };
             // Probe only when the incumbent is far from zero: at `current <= 2` a
             // classic descent reaches a zero-cost model just as fast when one exists,
-            // and a failed probe would waste a full UNSAT proof (plus a solver
-            // rebuild) on levels whose optimum is small but nonzero.
-            let optimistic = !optimistic_failed && current > 2 && live_bounds[li].is_none();
-            let bound = if optimistic { 0 } else { current - 1 };
-            set_level_bound(solver, &mut live_bounds, li, level, bound);
-            match run_stable(
-                solver,
-                &mut stability,
-                &mut extra_clauses,
-                assumptions,
-                &mut stats,
-                cache,
-            ) {
+            // and a failed probe would waste a full UNSAT proof on levels whose
+            // optimum is small but nonzero.
+            let optimistic = !optimistic_failed && current > 2 && bound.is_none();
+            let upper = if optimistic { 0 } else { current - 1 };
+            let guard = bound_level(&mut solver, &mut bound, level, upper);
+            assumed.push(guard);
+            let outcome = run_stable(&mut solver, &mut stability, &assumed, &mut stats);
+            assumed.pop();
+            match outcome {
                 StableOutcome::Model(m) => {
                     best_costs = level_costs(&levels, &m);
                     best = m;
@@ -338,20 +255,19 @@ pub fn solve_optimal_assuming(
                     // — a genuine stable model satisfying every bound proven so far,
                     // just not necessarily optimal.
                     stats.sat.absorb(&solver.stats);
-                    cache.harvest(solver);
                     let sat = stats.sat.clone();
                     let partial = incumbent(&levels, &best_costs, best, stats);
                     return Ok(OptOutcome::Budget { partial: Some(Box::new(partial)), sat });
                 }
                 StableOutcome::Unsat => {
-                    // The bound that failed poisons the solver either way, so retire
-                    // it (a later run rebuilds on demand — its provenance-safe
-                    // learned clauses live on through the cache). A failed one-step
-                    // descent proves the level optimal; a failed zero-probe only
-                    // proves the optimum is nonzero — fall back to classic descents.
-                    stats.sat.absorb(&solver.stats);
-                    cache.harvest(solver);
-                    live = None;
+                    // The program has a model under the assumptions (the incumbent),
+                    // so the refuted bound's guard is to blame: retire it and keep
+                    // the solver. A failed one-step descent proves the level optimal;
+                    // a failed zero-probe only proves the optimum is nonzero — fall
+                    // back to classic descents.
+                    debug_assert!(solver.failed_assumptions().contains(&guard));
+                    solver.add_clause(&[guard.negate()]);
+                    bound = None;
                     if optimistic {
                         optimistic_failed = true;
                         proven_above = 0;
@@ -361,19 +277,21 @@ pub fn solve_optimal_assuming(
                 }
             }
         }
-        // Freeze this level at its optimum for the remaining levels — and mirror the
-        // frozen bound into the still-live solver (a pure tightening the incumbent
-        // satisfies), keeping it interchangeable with a freshly built one.
-        fixed_bounds.push(level_bound(level, best_costs[li]));
-        if let Some(solver) = live.as_mut() {
-            set_level_bound(solver, &mut live_bounds, li, level, best_costs[li]);
+        // Freeze this level at its optimum for the remaining levels (a pure tightening
+        // the incumbent satisfies): a live guarded bound is tightened to the optimum,
+        // a no-op when it already sits there, and its guard asserted; otherwise the
+        // final bound is added unguarded, or as units when the optimum is zero.
+        let optimum = best_costs[li];
+        match bound {
+            Some(GuardedBound { guard, linear }) => {
+                solver.tighten_linear_upper(linear, optimum as u64);
+                solver.add_clause(&[guard]);
+            }
+            None if optimum == 0 => pin_zero(&mut solver, level),
+            None => solver.add_linear(level_bound(level, None, optimum)),
         }
     }
-    if let Some(solver) = live.as_ref() {
-        stats.sat.absorb(&solver.stats);
-        cache.harvest(solver);
-    }
-    drop(live);
+    stats.sat.absorb(&solver.stats);
     Ok(OptOutcome::Optimal(incumbent(&levels, &best_costs, best, stats)))
 }
 
@@ -386,7 +304,6 @@ fn incumbent(levels: &[Level], costs: &[i64], model: Vec<bool>, stats: RunStats)
         cost,
         models_examined: stats.models,
         solver_runs: stats.runs,
-        conflicts: stats.sat.conflicts,
         loop_nogoods: stats.loop_nogoods,
         sat: stats.sat,
     }
@@ -414,24 +331,19 @@ pub struct StableProbe {
     solver: Solver,
     checker: StabilityChecker,
     trivially_unsat: bool,
-    nogoods: u64,
 }
 
 impl StableProbe {
     /// Build the probe solver once from a grounded translation. `fixed` literals are
     /// asserted as root-level units — per-probe-session truths of `#external` guard
-    /// atoms that parameterize the program but are never candidates for blame. The
-    /// session `cache`'s clauses warm-start the probe.
+    /// atoms that parameterize the program but are never candidates for blame.
     pub fn new(
         ground: &GroundProgram,
         translation: &Translation,
         config: &SatConfig,
         fixed: &[Lit],
-        cache: &ClauseCache,
     ) -> Self {
-        let solver =
-            build_solver(translation, config, fixed, &[], &ClauseArena::new(), cache, None);
-        Self::from_solver(ground, solver)
+        Self::from_solver(ground, build_solver(translation, config, fixed, None))
     }
 
     /// Adopt an existing solver as the probe — typically the retired solver of a
@@ -444,7 +356,6 @@ impl StableProbe {
             solver,
             checker: StabilityChecker::new(ground),
             trivially_unsat: ground.trivially_unsat,
-            nogoods: 0,
         }
     }
 
@@ -455,14 +366,8 @@ impl StableProbe {
         self.solver.set_budget(budget);
     }
 
-    /// Search for one stable model under `assumptions`. New loop nogoods flow into
-    /// the session `cache`.
-    pub fn check(
-        &mut self,
-        ground: &GroundProgram,
-        assumptions: &[Lit],
-        cache: &mut ClauseCache,
-    ) -> ProbeVerdict {
+    /// Search for one stable model under `assumptions`.
+    pub fn check(&mut self, ground: &GroundProgram, assumptions: &[Lit]) -> ProbeVerdict {
         if self.trivially_unsat {
             return ProbeVerdict::Unsat(Vec::new());
         }
@@ -481,9 +386,7 @@ impl StableProbe {
                     let Some(nogood) = self.checker.unfounded_nogood(ground, &model) else {
                         return ProbeVerdict::Stable;
                     };
-                    self.nogoods += 1;
-                    cache.add(&nogood);
-                    if !self.solver.add_clause_safe(&nogood) {
+                    if !self.solver.add_clause(&nogood) {
                         return ProbeVerdict::Unsat(Vec::new());
                     }
                 }
@@ -494,16 +397,6 @@ impl StableProbe {
     /// Aggregate low-level statistics of every query so far.
     pub fn stats(&self) -> &SatStats {
         &self.solver.stats
-    }
-
-    /// Collect the probe solver's provenance-safe learned clauses into the cache.
-    pub fn harvest_into(&self, cache: &mut ClauseCache) {
-        cache.harvest(&self.solver);
-    }
-
-    /// Loop nogoods added across all queries.
-    pub fn loop_nogoods(&self) -> u64 {
-        self.nogoods
     }
 }
 
@@ -531,9 +424,7 @@ pub fn enumerate_models_with_stats(
     if ground.trivially_unsat {
         return (models, SatStats::default(), examined);
     }
-    let empty_cache = ClauseCache::default();
-    let mut solver =
-        build_solver(translation, config, &[], &[], &ClauseArena::new(), &empty_cache, None);
+    let mut solver = build_solver(translation, config, &[], None);
     let mut checker = StabilityChecker::new(ground);
     loop {
         if models.len() >= limit {
@@ -548,7 +439,7 @@ pub fn enumerate_models_with_stats(
                 examined += 1;
                 let model = solver.model();
                 if let Some(nogood) = checker.unfounded_nogood(ground, &model) {
-                    if !solver.add_clause_safe(&nogood) {
+                    if !solver.add_clause(&nogood) {
                         break;
                     }
                 } else {
@@ -612,88 +503,75 @@ fn level_costs(levels: &[Level], model: &[bool]) -> Vec<i64> {
         .collect()
 }
 
-fn level_bound(level: &Level, bound: i64) -> LinearSpec {
+/// The level's objective as a linear constraint `sum <= bound`, active under `condition`.
+fn level_bound(level: &Level, condition: Option<Lit>, bound: i64) -> LinearSpec {
     let (lits, weights): (Vec<Lit>, Vec<u64>) = level.lits.iter().copied().unzip();
-    LinearSpec { condition: None, lits, weights, lower: 0, upper: bound.max(0) as u64 }
+    LinearSpec { condition, lits, weights, lower: 0, upper: bound.max(0) as u64 }
 }
 
-/// Sentinel "slot" marking a level bound imposed at zero: a zero upper bound over
-/// positive weights just forces every weighted literal false, so it is asserted as
-/// root-level unit clauses instead of a watched linear constraint — cheaper to
-/// propagate, nothing to tighten later, and no heuristic focus needed. This is the
-/// common shape for levels that are trivially optimal at zero (e.g. the guarded error
-/// levels of a hard-mode concretizer solve).
-const ZERO_BOUND: usize = usize::MAX;
-
-/// Assert a zero bound as unit clauses: every literal with a positive weight must be
-/// false. (A zero-weight literal contributes nothing to the sum and must stay free.)
-fn pin_zero(solver: &mut Solver, lits: impl Iterator<Item = (Lit, u64)>) {
-    for (l, w) in lits {
+/// Freeze a level at zero: every literal with a positive weight must be false, asserted
+/// as root-level unit clauses, which propagate more cheaply than a watched linear
+/// constraint. (A zero-weight literal contributes nothing to the sum and stays free.)
+fn pin_zero(solver: &mut Solver, level: &Level) {
+    for &(l, w) in &level.lits {
         if w > 0 && !solver.add_clause(&[l.negate()]) {
             break;
         }
     }
 }
 
-/// Impose (or tighten) a level's objective bound on the live solver. The first time a
-/// level is bounded, a linear constraint is added and its literals are bumped and
-/// phase-biased towards *false* (clasp's optimization sign heuristic) — otherwise
-/// phase saving would keep steering the search back to the just-outlawed incumbent. Subsequent descents of the same level
-/// tighten that constraint's upper bound in place, so the solver never accumulates
-/// superseded bounds. A level first bounded at zero is pinned through unit clauses
-/// instead (see [`ZERO_BOUND`]).
-fn set_level_bound(
+/// A level's objective bound under a guard literal that the runs assume, so that a
+/// refutation retires the guard instead of poisoning the solver.
+struct GuardedBound {
+    guard: Lit,
+    /// The bound's index among the solver's linear constraints.
+    linear: usize,
+}
+
+/// Impose (or tighten) a level's objective bound and return the guard to assume. The
+/// first bound of a level (and the first after a retired one) is added under a fresh
+/// guard variable; later descents tighten it in place instead of stacking superseded
+/// copies. Every descent also bumps the level's literals and re-biases them
+/// towards *false* (clasp's optimization sign heuristic) — otherwise phase saving
+/// would keep steering the search back to the just-outlawed incumbent.
+fn bound_level(
     solver: &mut Solver,
-    live_bounds: &mut [Option<usize>],
-    li: usize,
+    bound: &mut Option<GuardedBound>,
     level: &Level,
-    bound: i64,
-) {
-    let upper = bound.max(0) as u64;
-    if live_bounds[li] == Some(ZERO_BOUND) {
-        return; // already pinned at zero — no tighter bound exists
-    }
-    if live_bounds[li].is_none() && upper == 0 {
-        pin_zero(solver, level.lits.iter().copied());
-        live_bounds[li] = Some(ZERO_BOUND);
-        return;
-    }
-    // Re-focus the heuristic on the objective at every descent, not only the first:
-    // the activity bump and the false-bias refresh are what steer the next search
-    // towards cheaper models once phase saving has locked onto the incumbent.
+    upper: i64,
+) -> Lit {
     for &(l, _) in &level.lits {
         solver.bump_variable(l.var(), 0.5);
         solver.set_phase(l.var(), !l.is_pos());
     }
-    if let Some(idx) = live_bounds[li] {
-        solver.tighten_linear_upper(idx, upper);
-        return;
+    match bound {
+        Some(b) => {
+            solver.tighten_linear_upper(b.linear, upper.max(0) as u64);
+            b.guard
+        }
+        None => {
+            let guard = Lit::pos(solver.new_var());
+            let linear = solver.num_linears();
+            solver.add_linear(level_bound(level, Some(guard), upper));
+            *bound = Some(GuardedBound { guard, linear });
+            guard
+        }
     }
-    live_bounds[li] = Some(solver.num_linears());
-    solver.add_linear(level_bound(level, bound));
 }
 
-/// Build a solver over the translation, the per-solve `fixed` units, the session
-/// `cache`, the loop nogoods in `extra_clauses` and the frozen objective `bounds`, with
-/// the shared solve `budget` (when one is set) installed.
+/// Build a solver over the translation and the per-solve `fixed` units, with the
+/// shared solve `budget` (when one is set) installed.
 fn build_solver(
     translation: &Translation,
     config: &SatConfig,
     fixed: &[Lit],
-    bounds: &[LinearSpec],
-    extra_clauses: &ClauseArena,
-    cache: &ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Solver {
     let mut solver = Solver::new(translation.num_vars, config.clone());
     solver.set_budget(budget.cloned());
-    // Program content is provenance-safe; per-solve artifacts (external units,
-    // objective bounds) are not — the distinction is what lets learned clauses be
-    // exported back into the session cache. The translation (canonicalized once in
-    // `translate`) and the session cache (canonicalized on insert) both honour the
-    // trusted contract, so every rebuild ingests them on the validation-free bulk
-    // path instead of re-sorting and re-checking each clause.
-    solver.load_trusted_clauses(translation.clauses.iter(), true);
+    // The translation's clauses are canonicalized once in `translate`, so they take
+    // the validation-free bulk path instead of re-sorting and re-checking each clause.
+    solver.load_trusted_clauses(translation.clauses.iter());
     // Per-solve truths of `#external` guard atoms, as root-level units.
     for &l in fixed {
         if !solver.add_clause(&[l]) {
@@ -701,40 +579,19 @@ fn build_solver(
         }
     }
     for lin in &translation.linears {
-        solver.add_linear_safe(lin.clone());
-    }
-    // Session cache: loop nogoods and safe learned clauses from earlier solves on
-    // this grounding.
-    solver.load_trusted_clauses(cache.clauses().iter(), true);
-    for clause in extra_clauses.iter() {
-        if !solver.add_clause_safe(clause) {
-            break;
-        }
-    }
-    for b in bounds {
-        if b.upper == 0 {
-            // A frozen zero bound forces every weighted literal false: root-level
-            // unit clauses propagate this far more cheaply than a watched linear
-            // constraint, and the heuristic has nothing to decide about them.
-            pin_zero(&mut solver, b.lits.iter().copied().zip(b.weights.iter().copied()));
-            continue;
-        }
-        solver.add_linear(b.clone());
-        // Focus the heuristic on objective literals early.
-        for &l in &b.lits {
-            solver.bump_variable(l.var(), 0.5);
-        }
+        solver.add_linear(lin.clone());
     }
     solver
 }
 
 /// What every stable-model run of one solve shares: the ground program, its
 /// stability checker (an occurrence index plus per-call scratch, built once per
-/// solve), and whether `ASP_DEBUG` progress tracing is on.
+/// solve), and the number of translation variables (a model's length; the guard
+/// variables after them are not part of it).
 struct Stability<'a> {
     ground: &'a GroundProgram,
     checker: StabilityChecker,
-    debug: bool,
+    vars: usize,
 }
 
 /// Outcome of driving a solver to the next stable model ([`run_stable`]).
@@ -747,17 +604,15 @@ enum StableOutcome {
     Interrupted,
 }
 
-/// Drive a live solver to the next *stable* model (adding loop nogoods for unstable
+/// Drive the solver to the next *stable* model (adding loop nogoods for unstable
 /// supported models along the way), or [`StableOutcome::Unsat`] when none exists under
 /// the solver's current bounds. The solver keeps all state between calls; aggregate
-/// statistics are absorbed by the caller when the solver is retired.
+/// statistics are absorbed by the caller when the solve ends.
 fn run_stable(
     solver: &mut Solver,
     stability: &mut Stability,
-    extra_clauses: &mut ClauseArena,
     assumptions: &[Lit],
     stats: &mut RunStats,
-    cache: &mut ClauseCache,
 ) -> StableOutcome {
     stats.runs += 1;
     loop {
@@ -765,27 +620,18 @@ fn run_stable(
             SearchResult::Unsat => return StableOutcome::Unsat,
             SearchResult::Interrupted => return StableOutcome::Interrupted,
             SearchResult::Sat => {
-                let model = solver.model();
+                let mut model = solver.model();
+                model.truncate(stability.vars);
                 stats.models += 1;
                 // Loop nogood: at least one unfounded atom must be false, or one of
                 // the set's external supports must come true. It is a consequence of
-                // the program (not of the bounds), so it persists and is replayed
-                // into every future solver.
+                // the program (not of the bounds), so it holds for every later run.
                 let Some(nogood) = stability.checker.unfounded_nogood(stability.ground, &model)
                 else {
                     return StableOutcome::Model(model);
                 };
                 stats.loop_nogoods += 1;
-                if stability.debug && stats.loop_nogoods.is_multiple_of(50) {
-                    eprintln!(
-                        "[asp] {} loop nogoods so far (clause size {})",
-                        stats.loop_nogoods,
-                        nogood.len()
-                    );
-                }
-                extra_clauses.push(&nogood);
-                cache.add(&nogood);
-                if !solver.add_clause_safe(&nogood) {
+                if !solver.add_clause(&nogood) {
                     return StableOutcome::Unsat;
                 }
             }
@@ -928,6 +774,45 @@ mod tests {
         );
         let result = solve_optimal(&ground, &translation, &SatConfig::default()).unwrap();
         assert!(result.is_none());
+    }
+
+    /// Solve `text` and return its objective vector and the number of models examined.
+    fn optimum(text: &str) -> (Vec<(i64, i64)>, u64) {
+        let (ground, translation, _symbols) = setup(text);
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
+        (result.cost, result.models_examined)
+    }
+
+    /// Choosing `r(X)` is paid for at one level, leaving it out (`s(X)`) at another.
+    const TRADE_OFF: &str = "p(a). p(b). p(c). p(d). { r(X) : p(X) }. s(X) :- p(X), not r(X).";
+
+    #[test]
+    fn descent_to_zero_freezes_the_live_guarded_bound() {
+        // The first model pays r at the top level. The zero-probe finds r = 0 under its
+        // guard, and freezing that guard must keep r at 0 while the level below pays.
+        let (cost, models) = optimum(&format!(
+            "{TRADE_OFF} #minimize{{ 1@2,X : r(X) }}. #minimize{{ 1@1,X : s(X) }}."
+        ));
+        assert_eq!(cost, vec![(2, 0), (1, 4)]);
+        assert!(models >= 2, "the top level must improve on the first model");
+    }
+
+    #[test]
+    fn failed_zero_probe_falls_back_to_descents_on_the_same_solver() {
+        // r(a) or r(b) must hold, so the top level's zero-probe is refuted; the level
+        // then descends to its optimum (reached at the proven floor of 1 with weight 1,
+        // proved by a refuted one-step descent with weight 2), and the level below
+        // pays for every r left out.
+        for (weight, top) in [(1, 1), (2, 2)] {
+            let (cost, models) = optimum(&format!(
+                "{TRADE_OFF} :- s(a), s(b). #minimize{{ {weight}@2,X : r(X) }}. \
+                 #minimize{{ 1@1,X : s(X) }}."
+            ));
+            assert_eq!(cost, vec![(2, top), (1, 3)], "weight {weight}");
+            assert!(models >= 2, "weight {weight}: the top level must improve on the first model");
+        }
     }
 
     #[test]

@@ -28,26 +28,22 @@
 //!   and no unassigned counted literal could violate either bound by itself.
 //! * Conflict analysis reuses persistent buffers (`analyze_buf`, `seen`) instead of
 //!   allocating per resolution step.
-
 //!
-//! # Clause provenance ("root-safe" learning)
+//! # Guarded bounds and fresh variables
 //!
-//! Every clause and linear constraint carries a *safe* bit: safe means "a consequence
-//! of the program being solved" (translation clauses, loop nogoods), unsafe means
-//! "true only for this particular solve" (per-solve `#external` units, objective
-//! bounds, model-blocking clauses). Conflict analysis propagates the bit — a learned
-//! clause is safe exactly when every antecedent resolved into it (including the
-//! level-0 assignments it absorbed) is safe — so [`Solver::safe_learned_clauses`]
-//! yields clauses that hold in *every* solve of the same translation. A
-//! [`ClauseCache`] collects them (plus loop nogoods) across the solves of one
-//! grounding and replays them into each newly built solver: later solves warm-start
-//! from everything the earlier ones learned about the program itself.
+//! A solver outlives the refutation of any constraint added under a *guard*: a linear
+//! constraint whose `condition` is a literal `g` that the caller only ever assumes. When
+//! the constraint cannot hold, `g` lands in [`Solver::failed_assumptions`], and every
+//! clause learned meanwhile mentions `¬g` wherever it depended on the constraint, so
+//! the unit `¬g` retires the constraint and the solver stays sound and reusable. Guard
+//! variables are made on demand by [`Solver::new_var`], within the room set aside by
+//! [`Solver::reserve_vars`]. This is how the optimizer runs a whole lexicographic
+//! descent on one solver.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::hasher::FxHashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,9 +100,9 @@ impl fmt::Display for Lit {
 /// and clause `i` is `lits[offsets[i]..offsets[i + 1]]`.
 ///
 /// Building, cloning and dropping a store of `n` clauses costs a few large
-/// allocations instead of `n` small ones, which is what makes per-level solver
-/// rebuilds, clause-cache replays and solver teardown cheap. Clauses are
-/// addressed by their insertion index and read as `&[Lit]` / `&mut [Lit]`.
+/// allocations instead of `n` small ones, which is what makes solver construction
+/// and teardown cheap. Clauses are addressed by their insertion index and read as
+/// `&[Lit]` / `&mut [Lit]`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ClauseArena {
     lits: Vec<Lit>,
@@ -288,17 +284,17 @@ pub enum SearchResult {
     Interrupted,
 }
 
-/// Shared budget accounting for one logical solve: every solver that one
-/// `Control::solve*` call builds (the initial run and each per-level rebuild of the
-/// descent) points at the same instance. It is the only source of
+/// Shared budget accounting for one logical solve: the solver that one
+/// `Control::solve*` call builds (or the probe solver of a core minimization) points
+/// at this instance. It is the only source of
 /// [`SearchResult::Interrupted`]. The search loop checks it once per
 /// propagation/conflict round, so an expired budget is observed within one round —
 /// the "one solver check interval" of the deadline contract.
 ///
 /// The wall-deadline half lives outside this type: a monitor thread owned by the
 /// caller calls [`SolveBudgetState::arm`] when the deadline passes. The conflict
-/// half is counted here, by every solver of the solve, into one shared counter — the
-/// limit bounds the *total* conflict work of the solve, not per-solver effort.
+/// half is counted here, into one shared counter — the limit bounds the *total*
+/// conflict work of the solve.
 #[derive(Debug, Default)]
 pub struct SolveBudgetState {
     expired: AtomicBool,
@@ -349,9 +345,8 @@ impl SolveBudgetState {
 enum Conflict {
     /// The clause at this index is falsified.
     Clause(usize),
-    /// An explicit list of (currently false) literals, with the provenance-safety of
-    /// the linear constraint that produced it.
-    Lits(Vec<Lit>, bool),
+    /// An explicit list of (currently false) literals.
+    Lits(Vec<Lit>),
 }
 
 /// One occurrence of a variable inside a linear constraint: the constraint index plus
@@ -410,9 +405,6 @@ struct Linear {
     total: u64,
     sum_true: u64,
     sum_false: u64,
-    /// Is this constraint a consequence of the program (a translation cardinality
-    /// bound) rather than a per-solve artifact (an objective bound)?
-    safe: bool,
     /// Largest single weight. No literal can overflow the upper bound unless
     /// `sum_true + wmax > upper`, and none can be forced true unless
     /// `total - sum_false - wmax < lower` (the heaviest literal triggers first on
@@ -492,17 +484,6 @@ pub struct Solver {
     clauses: ClauseArena,
     /// Parallel to `clauses`: learned (deletable) flag.
     clause_learned: Vec<bool>,
-    /// Parallel to `clauses`: provenance-safe flag (see the module docs). For learned
-    /// clauses this is the AND over every antecedent resolved into the clause.
-    clause_safe: Vec<bool>,
-    /// Parallel to `stored_reasons`: safety of the linear constraint that stored it.
-    stored_safe: Vec<bool>,
-    /// Per variable: is its *level-0* assignment a consequence of safe clauses only?
-    /// Meaningful only while the variable is assigned at level 0.
-    var0_safe: Vec<bool>,
-    /// Learned unit clauses that are provenance-safe (units are enqueued rather than
-    /// stored in `clauses`, so they are collected separately for export).
-    safe_units: Vec<Lit>,
     /// Parallel to `clauses`: conflict-analysis activity (only meaningful for learned).
     clause_activity: Vec<f64>,
     clause_inc: f64,
@@ -561,10 +542,6 @@ impl Solver {
             num_vars,
             clauses: ClauseArena::new(),
             clause_learned: Vec::new(),
-            clause_safe: Vec::new(),
-            stored_safe: Vec::new(),
-            var0_safe: vec![false; num_vars],
-            safe_units: Vec::new(),
             clause_activity: Vec::new(),
             clause_inc: 1.0,
             max_learned,
@@ -605,6 +582,38 @@ impl Solver {
         self.num_vars
     }
 
+    /// Set aside room for `additional` variables made later by [`Solver::new_var`],
+    /// so making them does not regrow every per-variable table.
+    pub fn reserve_vars(&mut self, additional: usize) {
+        self.watches.reserve_exact(2 * additional);
+        self.linear_occ.reserve_exact(additional);
+        self.assignment.reserve_exact(additional);
+        self.level.reserve_exact(additional);
+        self.reason.reserve_exact(additional);
+        self.activity.reserve_exact(additional);
+        self.phase.reserve_exact(additional);
+        self.seen.reserve_exact(additional);
+        self.heap.reserve(additional);
+    }
+
+    /// Make a fresh, unassigned variable (typically the guard of a constraint that may
+    /// be retracted later; see the module docs). It joins the decision heap only once
+    /// it is first unassigned, so a variable that is always assumed is never decided.
+    pub fn new_var(&mut self) -> Var {
+        let v = self.num_vars as Var;
+        self.num_vars += 1;
+        self.watches.extend([Vec::new(), Vec::new()]);
+        self.linear_occ.push(Vec::new());
+        self.assignment.push(Value::Unassigned);
+        self.level.push(0);
+        self.reason.push(Reason::Decision);
+        self.activity.push(0.0);
+        self.phase.push(self.config.default_phase);
+        self.seen.push(false);
+        self.heap.grow();
+        v
+    }
+
     /// The current decision level.
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
@@ -622,33 +631,18 @@ impl Solver {
     /// Add a clause. Returns `false` when the clause makes the problem unsatisfiable at
     /// the root level. Must be called at decision level 0 (the solver backtracks
     /// automatically when necessary). Takes a slice: the solver copies only the
-    /// literals that survive level-0 simplification. The clause is tagged *unsafe*
-    /// (per-solve artifact); use [`Solver::add_clause_safe`] for program consequences.
+    /// literals that survive level-0 simplification.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, false)
-    }
-
-    /// [`Solver::add_clause`] for a clause that is a consequence of the program being
-    /// solved (a translation clause or a loop nogood): clauses learned from safe
-    /// antecedents only are exported by [`Solver::safe_learned_clauses`].
-    pub fn add_clause_safe(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, true)
-    }
-
-    fn add_clause_tagged(&mut self, lits: &[Lit], safe: bool) -> bool {
         if self.root_conflict {
             return false;
         }
         self.cancel_until(0);
         // Remove literals already false at level 0; satisfied clauses are dropped.
-        // Dropping a false literal makes the clause depend on that assignment, so the
-        // simplified clause is safe only if every dropped assignment is, too.
         let mut filtered = Vec::with_capacity(lits.len());
-        let mut safe = safe;
         for &l in lits {
             match self.value_lit(l) {
                 Value::True => return true,
-                Value::False => safe = safe && self.var0_safe[l.var() as usize],
+                Value::False => {}
                 Value::Unassigned => filtered.push(l),
             }
         }
@@ -665,7 +659,6 @@ impl Solver {
             }
             1 => {
                 self.enqueue(filtered[0], Reason::Decision);
-                self.var0_safe[filtered[0].var() as usize] = safe;
                 if self.propagate().is_some() {
                     self.root_conflict = true;
                     false
@@ -678,7 +671,6 @@ impl Solver {
                 self.watches[filtered[0].negate().index()].push(Watch { ci, blocker: filtered[1] });
                 self.watches[filtered[1].negate().index()].push(Watch { ci, blocker: filtered[0] });
                 self.clause_learned.push(false);
-                self.clause_safe.push(safe);
                 self.clause_activity.push(0.0);
                 true
             }
@@ -689,16 +681,13 @@ impl Solver {
     /// literals (which implies no duplicates and — since the two literals of a variable
     /// sort adjacently — no complementary pair) over in-range variables. Skips the
     /// per-clause sort/dedup/tautology scan and backtrack that [`Solver::add_clause`]
-    /// pays, so per-level solver rebuilds in the optimizer ingest their own clause
-    /// streams (translation clauses canonicalized once at translate time, and
-    /// [`ClauseCache`] contents, canonical by construction) in one linear pass.
-    /// Level-0 simplification and provenance bookkeeping are byte-identical to
-    /// [`Solver::add_clause_safe`]; the canonical-form contract is checked by a debug
-    /// assertion, so a corrupted clause (e.g. a bit flip in a cached clause) fails
-    /// loudly in debug builds.
+    /// pays, so a solver ingests the translation's clauses (canonicalized once at
+    /// translate time) in one linear pass. Level-0 simplification is byte-identical to
+    /// [`Solver::add_clause`]; the canonical-form contract is checked by a debug
+    /// assertion, so a corrupted clause fails loudly in debug builds.
     ///
     /// Returns `false` when some clause makes the problem unsatisfiable at the root.
-    pub fn load_trusted_clauses<'a, I>(&mut self, clauses: I, safe: bool) -> bool
+    pub fn load_trusted_clauses<'a, I>(&mut self, clauses: I) -> bool
     where
         I: IntoIterator<Item = &'a [Lit]>,
     {
@@ -712,7 +701,6 @@ impl Solver {
                 "load_trusted_clauses: clause violates the canonical-form contract: {lits:?}"
             );
             // The unassigned literals go straight into the arena's open clause.
-            let mut clause_safe = safe;
             let mut satisfied = false;
             for &l in lits {
                 match self.value_lit(l) {
@@ -720,9 +708,7 @@ impl Solver {
                         satisfied = true;
                         break;
                     }
-                    Value::False => {
-                        clause_safe = clause_safe && self.var0_safe[l.var() as usize];
-                    }
+                    Value::False => {}
                     Value::Unassigned => self.clauses.push_open(l),
                 }
             }
@@ -738,7 +724,6 @@ impl Solver {
                 [unit] => {
                     self.clauses.discard_open();
                     self.enqueue(unit, Reason::Decision);
-                    self.var0_safe[unit.var() as usize] = clause_safe;
                     if self.propagate().is_some() {
                         self.root_conflict = true;
                         return false;
@@ -749,7 +734,6 @@ impl Solver {
                     self.watches[w0.negate().index()].push(Watch { ci, blocker: w1 });
                     self.watches[w1.negate().index()].push(Watch { ci, blocker: w0 });
                     self.clause_learned.push(false);
-                    self.clause_safe.push(clause_safe);
                     self.clause_activity.push(0.0);
                 }
             }
@@ -763,19 +747,8 @@ impl Solver {
             && lits.windows(2).all(|w| w[0] < w[1] && w[0] != w[1].negate())
     }
 
-    /// Add a linear constraint (tagged unsafe: a per-solve artifact such as an
-    /// objective bound; use [`Solver::add_linear_safe`] for program constraints).
+    /// Add a linear constraint.
     pub fn add_linear(&mut self, spec: LinearSpec) {
-        self.add_linear_tagged(spec, false)
-    }
-
-    /// [`Solver::add_linear`] for a constraint that is part of the program itself
-    /// (a choice-rule cardinality bound from the translation).
-    pub fn add_linear_safe(&mut self, spec: LinearSpec) {
-        self.add_linear_tagged(spec, true)
-    }
-
-    fn add_linear_tagged(&mut self, spec: LinearSpec, safe: bool) {
         assert_eq!(spec.lits.len(), spec.weights.len());
         self.cancel_until(0);
         let total: u64 = spec.weights.iter().sum();
@@ -797,7 +770,6 @@ impl Solver {
             sum_true: 0,
             sum_false: 0,
             wmax,
-            safe,
         };
         // Account for assignments already made at level 0.
         for (i, &l) in lin.lits.iter().enumerate() {
@@ -844,9 +816,8 @@ impl Solver {
         self.heap.update(v, self.activity[v as usize]);
     }
 
-    /// Seed the saved phase of a variable. Used to warm-start a solver from an
-    /// incumbent model so the search re-enters the neighbourhood of a known-good
-    /// assignment first (the optimizer seeds each lexicographic level this way).
+    /// Seed the saved phase of a variable (the optimizer biases objective literals
+    /// towards *false* this way).
     pub fn set_phase(&mut self, v: Var, phase: bool) {
         self.phase[v as usize] = phase;
     }
@@ -887,9 +858,9 @@ impl Solver {
                     self.root_conflict = true;
                     return SearchResult::Unsat;
                 }
-                let (learned, backtrack_level, safe) = self.analyze(confl);
+                let (learned, backtrack_level) = self.analyze(confl);
                 self.cancel_until(backtrack_level);
-                self.record_learned(learned, safe);
+                self.record_learned(learned);
                 self.decay_activities();
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 continue;
@@ -1008,18 +979,6 @@ impl Solver {
         self.add_clause(clause)
     }
 
-    /// Every learned clause (including learned root units) whose derivation used only
-    /// provenance-safe antecedents: such clauses are consequences of the program's
-    /// translation alone — never of per-solve externals, objective bounds, or blocking
-    /// clauses — and may be replayed into any solver over the same translation.
-    pub fn safe_learned_clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
-        let units = self.safe_units.iter().map(std::slice::from_ref);
-        let clauses = (0..self.clauses.len())
-            .filter(|&ci| self.clause_learned[ci] && self.clause_safe[ci])
-            .map(|ci| &self.clauses[ci]);
-        units.chain(clauses)
-    }
-
     // ---- internal: propagation -------------------------------------------------------
 
     fn enqueue(&mut self, lit: Lit, reason: Reason) {
@@ -1029,26 +988,6 @@ impl Solver {
         self.level[var] = self.decision_level();
         self.reason[var] = reason;
         self.phase[var] = lit.is_pos();
-        if self.trail_lim.is_empty() {
-            // Level-0 assignment: record whether it follows from safe clauses alone
-            // (its reason plus the level-0 assignments falsifying the rest of it).
-            let safe = match reason {
-                Reason::Decision => false, // add_clause_tagged overrides for its units
-                Reason::Clause(ci) => {
-                    self.clause_safe[ci]
-                        && self.clauses[ci]
-                            .iter()
-                            .all(|&l| l.var() as usize == var || self.var0_safe[l.var() as usize])
-                }
-                Reason::Stored(ri) => {
-                    self.stored_safe[ri]
-                        && self.stored_reasons[ri]
-                            .iter()
-                            .all(|&l| l.var() as usize == var || self.var0_safe[l.var() as usize])
-                }
-            };
-            self.var0_safe[var] = safe;
-        }
         self.trail.push(lit);
         self.stats.propagations += 1;
         // Update linear-constraint counters incrementally: each occurrence names the
@@ -1105,7 +1044,6 @@ impl Solver {
         // stored reason predates the earliest cancelled level — the tail is garbage.
         if let Some(mark) = stored_mark {
             self.stored_reasons.truncate(mark);
-            self.stored_safe.truncate(mark);
         }
         self.prop_head = self.prop_head.min(self.trail.len());
     }
@@ -1125,8 +1063,8 @@ impl Solver {
             let var = lit.var() as usize;
             for k in 0..self.linear_occ[var].len() {
                 let occ = self.linear_occ[var][k];
-                if let Some((confl, safe)) = self.propagate_linear(occ.idx as usize) {
-                    return Some(Conflict::Lits(confl, safe));
+                if let Some(confl) = self.propagate_linear(occ.idx as usize) {
+                    return Some(Conflict::Lits(confl));
                 }
             }
         }
@@ -1189,13 +1127,12 @@ impl Solver {
         None
     }
 
-    fn propagate_linear(&mut self, idx: usize) -> Option<(Vec<Lit>, bool)> {
+    fn propagate_linear(&mut self, idx: usize) -> Option<Vec<Lit>> {
         let (upper_violated, lower_violated) = {
             let lin = &self.linears[idx];
             (lin.sum_true > lin.upper, lin.total - lin.sum_false < lin.lower)
         };
         let condition = self.linears[idx].condition;
-        let lin_safe = self.linears[idx].safe;
         let cond_value = condition.map(|c| self.value_lit(c));
 
         // If the guard is false the constraint is inert.
@@ -1218,7 +1155,7 @@ impl Solver {
                     if let Some(c) = condition {
                         clause.push(c.negate());
                     }
-                    return Some((clause, lin_safe));
+                    return Some(clause);
                 }
             }
         }
@@ -1315,39 +1252,31 @@ impl Solver {
         for l in tail {
             self.stored_reasons.push_open(l);
         }
-        self.stored_safe.push(lin.safe);
         self.stored_reasons.seal()
     }
 
     // ---- internal: conflict analysis ---------------------------------------------------
 
     /// First-UIP conflict analysis. Returns the learned clause (with the asserting
-    /// literal first), the backtrack level, and whether every antecedent resolved into
-    /// the clause was provenance-safe (making the learned clause a program
-    /// consequence, exportable across solves).
+    /// literal first) and the backtrack level.
     ///
     /// Clause-typed conflicts and reasons are resolved by *reference*; the working set
     /// of literals lives in the persistent `analyze_buf`, and the per-variable `seen`
     /// markers are cleared incrementally on exit — no allocation per conflict beyond
     /// the learned clause itself.
-    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32, bool) {
+    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32) {
         let current_level = self.decision_level();
         let mut learned: Vec<Lit> = Vec::new();
         let mut counter = 0usize;
         let mut trail_index = self.trail.len();
         let mut expand: Vec<Lit> = std::mem::take(&mut self.analyze_buf);
         expand.clear();
-        let mut safe;
         match conflict {
             Conflict::Clause(ci) => {
                 self.bump_clause(ci);
                 expand.extend_from_slice(&self.clauses[ci]);
-                safe = self.clause_safe[ci];
             }
-            Conflict::Lits(lits, lin_safe) => {
-                expand.extend_from_slice(&lits);
-                safe = lin_safe;
-            }
+            Conflict::Lits(lits) => expand.extend_from_slice(&lits),
         }
         let asserting;
 
@@ -1356,12 +1285,7 @@ impl Solver {
             for i in 0..expand.len() {
                 let lit = expand[i];
                 let v = lit.var() as usize;
-                if self.level[v] == 0 {
-                    // Absorbed level-0 assignment: the learned clause depends on it.
-                    safe = safe && self.var0_safe[v];
-                    continue;
-                }
-                if self.seen[v] {
+                if self.level[v] == 0 || self.seen[v] {
                     continue;
                 }
                 self.seen[v] = true;
@@ -1392,11 +1316,9 @@ impl Solver {
                 Reason::Decision => {}
                 Reason::Clause(ci) => {
                     self.bump_clause(ci);
-                    safe = safe && self.clause_safe[ci];
                     expand.extend(self.clauses[ci].iter().copied().filter(|l| l.var() != var));
                 }
                 Reason::Stored(ri) => {
-                    safe = safe && self.stored_safe[ri];
                     expand
                         .extend(self.stored_reasons[ri].iter().copied().filter(|l| l.var() != var));
                 }
@@ -1419,22 +1341,16 @@ impl Solver {
         // Backtrack level: second-highest level in the clause.
         let backtrack_level =
             clause[1..].iter().map(|l| self.level[l.var() as usize]).max().unwrap_or(0);
-        (clause, backtrack_level, safe)
+        (clause, backtrack_level)
     }
 
-    fn record_learned(&mut self, clause: Vec<Lit>, safe: bool) {
+    fn record_learned(&mut self, clause: Vec<Lit>) {
         self.stats.learned += 1;
         debug_assert!(!clause.is_empty());
         if clause.len() == 1 {
             // Asserting unit clause: enqueue at the (already backtracked-to) level.
             if self.value_lit(clause[0]) == Value::Unassigned {
                 self.enqueue(clause[0], Reason::Decision);
-                if self.trail_lim.is_empty() {
-                    self.var0_safe[clause[0].var() as usize] = safe;
-                }
-            }
-            if safe {
-                self.safe_units.push(clause[0]);
             }
             return;
         }
@@ -1453,7 +1369,6 @@ impl Solver {
         let asserting = clause[0];
         self.clauses.push(&clause);
         self.clause_learned.push(true);
-        self.clause_safe.push(safe);
         self.clause_activity.push(self.clause_inc);
         if self.value_lit(asserting) == Value::Unassigned {
             self.enqueue(asserting, Reason::Clause(idx));
@@ -1500,7 +1415,6 @@ impl Solver {
         });
         let removed = (remap.len() - kept) as u64;
         retain_remapped(&mut self.clause_learned, &remap);
-        retain_remapped(&mut self.clause_safe, &remap);
         retain_remapped(&mut self.clause_activity, &remap);
         self.stats.deleted += removed;
         // Grow the cap geometrically so reduction stays amortised.
@@ -1604,69 +1518,6 @@ fn retain_remapped<T>(values: &mut Vec<T>, remap: &[usize]) {
     });
 }
 
-/// A session-scoped cache of clauses that are *consequences of one ground program* —
-/// loop nogoods from the stability check and provenance-safe learned clauses — shared
-/// by every solve on that grounding. Each newly built solver replays the cache, so the
-/// relaxed diagnostics re-solve, core-minimization probes, and later optimization
-/// levels warm-start from everything earlier solves proved about the program instead
-/// of re-deriving it. Invalidated (by the owner) whenever the grounding changes.
-#[derive(Debug, Default)]
-pub struct ClauseCache {
-    clauses: ClauseArena,
-    seen: FxHashSet<u64>,
-}
-
-impl ClauseCache {
-    /// Cap on cached clauses: beyond this the marginal clause is unlikely to pay for
-    /// its replay cost, and the cache must not grow without bound over a long session.
-    pub const MAX_CLAUSES: usize = 8192;
-
-    /// Add one program-consequence clause (deduplicated; ignored once full or empty).
-    pub fn add(&mut self, clause: &[Lit]) {
-        if clause.is_empty() || self.clauses.len() >= Self::MAX_CLAUSES {
-            return;
-        }
-        // Store in canonical form, dropping tautologies, so every cached clause
-        // satisfies the trusted contract of `Solver::load_trusted_clauses` (replay
-        // skips re-validation); then undo the push if the clause is a duplicate.
-        let Some(ci) = self.clauses.push_canonical(clause.iter().copied()) else {
-            return;
-        };
-        use std::hash::{Hash, Hasher};
-        let mut hasher = crate::hasher::FxHasher::default();
-        self.clauses[ci].hash(&mut hasher);
-        if !self.seen.insert(hasher.finish()) {
-            self.clauses.truncate(ci);
-        }
-    }
-
-    /// Collect a retiring solver's provenance-safe learned clauses.
-    pub fn harvest(&mut self, solver: &Solver) {
-        // Pre-check fullness so a large retired solver costs one branch, not a scan.
-        if self.clauses.len() >= Self::MAX_CLAUSES {
-            return;
-        }
-        for c in solver.safe_learned_clauses() {
-            self.add(c);
-        }
-    }
-
-    /// The cached clauses, for replay into a new solver (all provenance-safe).
-    pub fn clauses(&self) -> &ClauseArena {
-        &self.clauses
-    }
-
-    /// Number of cached clauses.
-    pub fn len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-}
-
 /// A max-heap of variables ordered by activity, with lazy updates.
 struct VarHeap {
     heap: Vec<Var>,
@@ -1677,6 +1528,18 @@ struct VarHeap {
 impl VarHeap {
     fn new(n: usize) -> Self {
         VarHeap { heap: Vec::with_capacity(n), position: vec![None; n], key: vec![0.0; n] }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.heap.reserve_exact(additional);
+        self.position.reserve_exact(additional);
+        self.key.reserve_exact(additional);
+    }
+
+    /// Make room for one more variable (not inserted).
+    fn grow(&mut self) {
+        self.position.push(None);
+        self.key.push(0.0);
     }
 
     fn contains(&self, v: Var) -> bool {
@@ -2066,54 +1929,32 @@ mod tests {
     }
 
     #[test]
-    fn learned_clauses_from_safe_antecedents_are_exported() {
-        // x1 -> x2 -> x3 -> ~x1, all program clauses: refuting the assumption x1
-        // learns the program consequence ~x1, which must be exported.
+    fn refuted_guarded_bound_is_retired_without_a_rebuild() {
+        // x1 + x2 + x3 >= 2 (a program constraint) and, under the fresh guard g,
+        // x1 + x2 + x3 <= 1: assuming g is refuted with g alone to blame.
         let mut s = Solver::new(3, SatConfig::default());
-        assert!(s.add_clause_safe(&[lit(-1), lit(2)]));
-        assert!(s.add_clause_safe(&[lit(-2), lit(3)]));
-        assert!(s.add_clause_safe(&[lit(-3), lit(-1)]));
-        assert_eq!(s.search_with_assumptions(&[lit(1)]), SearchResult::Unsat);
-        let exported: Vec<Vec<Lit>> = s.safe_learned_clauses().map(|c| c.to_vec()).collect();
-        assert!(
-            exported.iter().any(|c| c.as_slice() == [lit(-1)]),
-            "the program consequence ~x1 must be exported: {exported:?}"
-        );
-    }
-
-    #[test]
-    fn learned_clauses_tainted_by_unsafe_units_are_not_exported() {
-        // x2 is a per-solve root unit (e.g. an #external guard). The conflict that
-        // refutes the assumption x1 resolves through it, so the learned clause is
-        // only valid for solves where x2 holds — it must NOT be exported.
-        let mut s = Solver::new(3, SatConfig::default());
-        assert!(s.add_clause(&[lit(2)])); // unsafe per-solve unit
-        assert!(s.add_clause_safe(&[lit(-1), lit(3)]));
-        assert!(s.add_clause_safe(&[lit(-3), lit(-2), lit(-1)]));
-        assert_eq!(s.search_with_assumptions(&[lit(1)]), SearchResult::Unsat);
-        assert_eq!(
-            s.safe_learned_clauses().count(),
-            0,
-            "clauses depending on the unsafe unit must not be exported"
-        );
-    }
-
-    #[test]
-    fn clause_cache_deduplicates() {
-        let mut cache = ClauseCache::default();
-        cache.add(&[lit(1), lit(2)]);
-        cache.add(&[lit(2), lit(1)]); // same clause, different order
-        cache.add(&[lit(1)]);
-        cache.add(&[]); // ignored
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
+        s.add_linear(LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3)], 2, u64::MAX));
+        s.reserve_vars(1);
+        let g = Lit::pos(s.new_var());
+        assert_eq!(s.num_vars(), 4);
+        s.add_linear(LinearSpec::cardinality(Some(g), vec![lit(1), lit(2), lit(3)], 0, 1));
+        assert_eq!(s.search_with_assumptions(&[g]), SearchResult::Unsat);
+        assert_eq!(s.failed_assumptions(), &[g]);
+        // The refutation poisoned nothing: the same solver, without g, finds a model.
+        assert_eq!(s.search_with_assumptions(&[lit(-1)]), SearchResult::Sat);
+        let m = s.model();
+        assert!(!m[0] && m[1] && m[2]);
+        // Retired by the unit ¬g, the bound stays inert: all three may hold.
+        assert!(s.add_clause(&[g.negate()]));
+        assert!(s.lit_is_true(g.negate()));
+        assert_eq!(s.search_with_assumptions(&[lit(1), lit(2), lit(3)]), SearchResult::Sat);
+        assert!(s.model()[..3].iter().all(|&b| b));
     }
 
     #[test]
     fn trusted_load_matches_add_clause_safe() {
         // The same canonical clause stream, loaded both ways, must produce solvers
-        // with identical stored clauses, identical level-0 assignments, and identical
-        // provenance bits.
+        // with identical stored clauses and identical level-0 assignments.
         let clauses: Vec<Vec<Lit>> = vec![
             vec![lit(1), lit(2)],
             vec![lit(-1), lit(3)],
@@ -2131,13 +1972,12 @@ mod tests {
             .collect();
         let mut a = Solver::new(5, SatConfig::default());
         for c in &canonical {
-            assert!(a.add_clause_safe(c));
+            assert!(a.add_clause(c));
         }
         let mut b = Solver::new(5, SatConfig::default());
-        assert!(b.load_trusted_clauses(canonical.iter().map(|c| c.as_slice()), true));
+        assert!(b.load_trusted_clauses(canonical.iter().map(|c| c.as_slice())));
         assert_eq!(a.clauses, b.clauses);
-        assert_eq!(a.clause_safe, b.clause_safe);
-        assert_eq!(a.var0_safe, b.var0_safe);
+        assert_eq!(a.clause_learned, b.clause_learned);
         assert_eq!(a.assignment.len(), b.assignment.len());
         for v in 0..5 {
             assert_eq!(a.assignment[v], b.assignment[v], "level-0 assignment of x{v}");
@@ -2150,8 +1990,8 @@ mod tests {
     #[test]
     fn trusted_load_detects_root_conflict() {
         let mut s = Solver::new(2, SatConfig::default());
-        assert!(s.load_trusted_clauses([&[lit(1)][..]], true));
-        assert!(!s.load_trusted_clauses([&[lit(-1)][..]], true));
+        assert!(s.load_trusted_clauses([&[lit(1)][..]]));
+        assert!(!s.load_trusted_clauses([&[lit(-1)][..]]));
         assert_eq!(s.search(), SearchResult::Unsat);
     }
 
@@ -2160,9 +2000,9 @@ mod tests {
     #[should_panic(expected = "canonical-form contract")]
     fn trusted_load_catches_corrupted_clause_in_debug() {
         // An unsorted (corrupted) clause must trip the debug validation assert —
-        // the backstop for bit flips in cached clauses replayed into a rebuild.
+        // the backstop for a translation that broke the canonical-form contract.
         let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses([&[lit(3), lit(1)][..]], true);
+        s.load_trusted_clauses([&[lit(3), lit(1)][..]]);
     }
 
     #[cfg(debug_assertions)]
@@ -2170,7 +2010,7 @@ mod tests {
     #[should_panic(expected = "canonical-form contract")]
     fn trusted_load_catches_out_of_range_variable_in_debug() {
         let mut s = Solver::new(2, SatConfig::default());
-        s.load_trusted_clauses([&[lit(1), lit(7)][..]], true);
+        s.load_trusted_clauses([&[lit(1), lit(7)][..]]);
     }
 
     #[test]
@@ -2203,14 +2043,6 @@ mod tests {
         assert_eq!(s.search(), SearchResult::Interrupted);
         assert!(budget.expired());
         assert!(budget.conflicts() >= 1);
-    }
-
-    #[test]
-    fn clause_cache_drops_tautologies() {
-        let mut cache = ClauseCache::default();
-        cache.add(&[lit(1), lit(-1)]); // tautology: not canonical, must not be shelved
-        cache.add(&[lit(1), lit(2)]);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -2285,10 +2117,10 @@ mod tests {
     fn reduce_learned_compacts_and_remaps_locked_reasons() {
         let mut s = Solver::new(6, SatConfig::default());
         assert!(s.add_clause(&[lit(1), lit(2), lit(3)])); // 0: problem clause
-        s.record_learned(vec![lit(4), lit(5), lit(6)], true); // 1: reason of x4 (locked)
-        s.record_learned(vec![lit(4), lit(2), lit(3)], true); // 2: unlocked, inactive
-        s.record_learned(vec![lit(4), lit(-2), lit(-3)], true); // 3: unlocked, active
-        s.record_learned(vec![lit(-1), lit(2), lit(3)], false); // 4: reason of ~x1 (locked)
+        s.record_learned(vec![lit(4), lit(5), lit(6)]); // 1: reason of x4 (locked)
+        s.record_learned(vec![lit(4), lit(2), lit(3)]); // 2: unlocked, inactive
+        s.record_learned(vec![lit(4), lit(-2), lit(-3)]); // 3: unlocked, active
+        s.record_learned(vec![lit(-1), lit(2), lit(3)]); // 4: reason of ~x1 (locked)
         s.clause_activity[3] = 10.0;
         assert_eq!(s.reason[0], Reason::Clause(4));
         assert_eq!(s.reason[3], Reason::Clause(1));
@@ -2307,7 +2139,6 @@ mod tests {
             ]
         );
         assert_eq!(s.clause_learned, vec![false, true, true, true]);
-        assert_eq!(s.clause_safe, vec![false, true, true, false]);
         assert_eq!(s.clause_activity[2], 10.0);
         // The locked reasons follow their clauses to the new indices.
         assert_eq!(s.reason[0], Reason::Clause(3));

@@ -6,7 +6,8 @@
 //!
 //! * by the engine — `Control::ground()` (indexed semi-naive grounding, join planner)
 //!   followed by `enumerate_models` / `solve_optimal` (incremental linear propagation,
-//!   learned-clause deletion, warm-started bounds), and
+//!   learned-clause deletion, guarded bounds descending level by level on one
+//!   solver), and
 //! * by an independent brute-force enumerator that tries *every* subset of the possible
 //!   atoms and applies the textbook stable-model definition (rule/constraint/bound
 //!   satisfaction plus foundedness via a naive multi-pass reduct fixpoint — the
@@ -172,7 +173,9 @@ struct GenProgram {
     rules: Vec<(usize, usize, Option<(usize, bool)>)>,
     choice: Option<(u8, usize, usize, bool)>,
     constraint: Option<(usize, usize)>,
-    minimize: Option<(u8, u8, usize)>,
+    /// `(weight, priority, head predicate)` per `#minimize` statement; priorities are
+    /// distinct.
+    minimize: Vec<(u8, u8, usize)>,
 }
 
 fn program_strategy() -> impl Strategy<Value = GenProgram> {
@@ -189,15 +192,39 @@ fn program_strategy() -> impl Strategy<Value = GenProgram> {
         any::<bool>(),            // has upper bound?
     );
     let constraint = (0usize..BODY_PREDS.len(), 0usize..BODY_PREDS.len());
-    let minimize = (1u8..4, 1u8..3, 0usize..HEAD_PREDS.len());
+    // Up to three objective levels: weight, priority step above the previous level
+    // (so priorities are distinct), head predicate. Weights up to 4 over three
+    // constants let a level's incumbent start above 2, where the optimizer first
+    // probes for a zero optimum.
+    let minimize = (1u8..5, 1u8..3, 0usize..HEAD_PREDS.len());
+    // A lexicographic trade-off: `{ O(X) : F(X) }. H(X) :- F(X), not O(X).` with `O`
+    // the other head predicate. Leaving `O` out costs at `H`'s level, so the first
+    // model is often not optimal, and the optimizer must descend and freeze levels.
+    // When drawn, it replaces the drawn choice rule.
+    let trade_off = (0usize..HEAD_PREDS.len(), 0usize..FACT_PREDS.len());
     (
         proptest::collection::vec(fact, 1..6),
         proptest::collection::vec(rule, 0..4),
         proptest::option::of(choice),
         proptest::option::of(constraint),
-        proptest::option::of(minimize),
+        proptest::collection::vec(minimize, 0..4),
+        proptest::option::of(trade_off),
     )
-        .prop_map(|(facts, rules, choice, constraint, minimize)| {
+        .prop_map(|(facts, mut rules, mut choice, constraint, steps, trade_off)| {
+            if let Some((h, f)) = trade_off {
+                let other = 1 - h;
+                choice = Some((0, other, f, false));
+                // HEAD_PREDS are r, s = BODY_PREDS[2..]
+                rules.push((h, f, Some((other + 2, true))));
+            }
+            let mut priority = 0u8;
+            let minimize: Vec<(u8, u8, usize)> = steps
+                .into_iter()
+                .map(|(w, step, h)| {
+                    priority += step;
+                    (w, priority, h)
+                })
+                .collect();
             let mut text = String::new();
             for &(p, c) in &facts {
                 text.push_str(&format!("{}({}).\n", FACT_PREDS[p], CONSTS[c]));
@@ -220,7 +247,7 @@ fn program_strategy() -> impl Strategy<Value = GenProgram> {
             if let Some((p1, p2)) = constraint {
                 text.push_str(&format!(":- {}(X), {}(X).\n", BODY_PREDS[p1], BODY_PREDS[p2]));
             }
-            if let Some((w, prio, h)) = minimize {
+            for &(w, prio, h) in &minimize {
                 text.push_str(&format!(
                     "#minimize{{ {}@{},X : {}(X) }}.\n",
                     w, prio, HEAD_PREDS[h]
@@ -621,7 +648,7 @@ mod independent {
             }
 
             let mut minimize = Vec::new();
-            if let Some((w, prio, h)) = p.minimize {
+            for &(w, prio, h) in &p.minimize {
                 for c in 0..CONSTS.len() {
                     let target = atom(head_pred(h), c);
                     if possible[target] {

@@ -417,8 +417,7 @@ fn main() -> std::process::ExitCode {
     // ---- unsat_diagnostics: the single-grounding explanation pipeline ---------------------
     // Deliberately infeasible requests: wall-clock covers the failed solve plus core
     // minimization and the relaxed re-solve (which reuses the first solve's ground
-    // program — second-phase grounding must be zero — and warm-starts from its loop
-    // nogoods and provenance-safe learned clauses through the session clause cache);
+    // program — second-phase grounding must be zero — on a solver of its own);
     // the stages and counters expose the diagnostics cost per phase.
     for (name, spec) in [("version_pin", "zlib@9.9"), ("variant_pin", "netcdf-c ^hdf5~mpi")] {
         runner.measure("unsat_diagnostics", name, || {
@@ -447,7 +446,6 @@ fn main() -> std::process::ExitCode {
                             ("minimized_core", stats.minimized_core_size as u64),
                             ("minimize_rounds", stats.minimization_rounds),
                             ("diagnostics", diagnostics.len() as u64),
-                            ("warm_clauses", stats.warm_clauses),
                         ],
                     )
                 }

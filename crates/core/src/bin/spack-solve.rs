@@ -330,7 +330,6 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
-    println!("            warm clauses {}", s.warm_clauses);
 }
 
 struct BatchOptions {

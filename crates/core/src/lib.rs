@@ -528,10 +528,8 @@ fn build_concretization(
 /// The second phase of the diagnostics pipeline, run on the *same* control as the
 /// failed normal solve: minimize the unsat core, flip the `relax_mode` guard true
 /// and re-solve (errors minimized instead of forbidden — no second setup, no
-/// second grounding), and render both into [`Diagnostic`]s. The relaxed solve
-/// warm-starts from the failed hard solve's loop nogoods and provenance-safe learned
-/// clauses through the control's session clause cache
-/// ([`DiagnosticsStats::warm_clauses`] reports how many were replayed).
+/// second grounding), and render both into [`Diagnostic`]s. Like every solve, the
+/// relaxed one runs on a solver of its own; only the ground program is shared.
 fn explain_unsat(
     roots: &[Spec],
     setup_info: &SetupInfo,
@@ -611,7 +609,6 @@ fn explain_unsat(
                 solve: stats.solve_time,
             },
             second_phase_ground: stats.ground_time.saturating_sub(ground_before),
-            warm_clauses: stats.warm_clauses,
             ground_delta: stats.ground.delta,
         },
         roots,

@@ -142,20 +142,20 @@ fn check(spec: &str, database: Option<&Database>, path: Path, end: End) {
 #[test]
 fn paper_example_search_path() {
     let end = End::Model(585, 9354937506538270961, vec![(100, 11)]);
-    check("example", None, path(6, 685, 37134, 5, 12, 10), end);
+    check("example", None, path(4, 765, 33170, 4, 12, 10), end);
 }
 
 #[test]
 fn hdf5_search_path() {
     let end = End::Model(724, 16581126924713461641, vec![(100, 16)]);
-    check("hdf5", None, path(6, 1066, 40032, 5, 11, 9), end);
+    check("hdf5", None, path(5, 769, 34420, 5, 10, 8), end);
 }
 
 #[test]
 fn mpileaks_with_reuse_search_path() {
     let cache = synthesize_buildcache(&builtin_repo(), &BuildcacheConfig::default());
     let end = End::Model(3227, 13774801703720370102, vec![(1, 52)]);
-    check("mpileaks", Some(&cache), path(17, 914, 107469, 16, 11, 9), end);
+    check("mpileaks", Some(&cache), path(17, 704, 92380, 17, 10, 8), end);
 }
 
 #[test]
@@ -167,8 +167,8 @@ fn unsat_search_path() {
 
 #[test]
 fn unsat_diagnostics_search_path() {
-    // The full diagnostics pipeline: core minimization probes and the relaxed
-    // re-solve, warm-started from the hard solve's clause cache.
+    // The full diagnostics pipeline: core minimization probes (on the hard solve's
+    // retired solver) and the relaxed re-solve.
     let repo = builtin_repo();
     let err = Concretizer::new(&repo)
         .with_options(SolveOptions::new().site(SiteConfig::quartz()))
@@ -177,21 +177,16 @@ fn unsat_diagnostics_search_path() {
     let ConcretizeError::Unsatisfiable { diagnostics, stats } = err else {
         panic!("`zlib@9.9` must be unsatisfiable");
     };
-    let got = (
-        stats.core_size,
-        stats.minimized_core_size,
-        stats.minimization_rounds,
-        stats.warm_clauses,
-        diagnostics.len(),
-    );
-    assert_eq!(got, (1, 1, 1, 0, 2));
+    let got =
+        (stats.core_size, stats.minimized_core_size, stats.minimization_rounds, diagnostics.len());
+    assert_eq!(got, (1, 1, 1, 2));
 }
 
 #[test]
 fn session_repeat_search_path() {
-    // Two identical requests on one session: each solves on a clause cache that starts
-    // empty and nothing crosses from one request to the next, so both take the same
-    // search path, bit for bit.
+    // Two identical requests on one session: each solves on a solver of its own and
+    // nothing crosses from one request to the next, so both take the same search
+    // path, bit for bit.
     let repo = builtin_repo();
     let concretizer =
         Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
@@ -200,8 +195,6 @@ fn session_repeat_search_path() {
     let first = session.concretize(&roots).unwrap();
     let second = session.concretize(&roots).unwrap();
     assert_eq!(first.spec, second.spec);
-    assert_eq!(Path::of(&first.stats), path(41, 731, 86821, 39, 10, 5));
+    assert_eq!(Path::of(&first.stats), path(10, 856, 53249, 10, 13, 8));
     assert_eq!(Path::of(&second.stats), Path::of(&first.stats));
-    let warm = (first.stats.warm_clauses, second.stats.warm_clauses);
-    assert_eq!(warm, (0, 0), "no request starts on a warm clause cache");
 }
